@@ -16,7 +16,7 @@ from typing import Sequence
 
 from . import linalg
 from .errors import InvalidCurve, NotAForm
-from .linalg import as_fraction, matrix, vector
+from .linalg import as_fraction, vector
 from .report import Report
 
 INF = float("inf")
@@ -135,9 +135,9 @@ def boundary_matrix(curve: AbstractTropicalCurve):
     cols = len(curve.edges)
     M = linalg.zeros(rows, cols)
     for j, e in enumerate(curve.edges):
-        M[vindex[e.tail], j] -= 1
+        M[vindex[e.tail]][j] -= 1
         if e.head is not None:
-            M[vindex[e.head], j] += 1
+            M[vindex[e.head]][j] += 1
     return M
 
 
@@ -176,9 +176,9 @@ def vertex_equation_matrix(curve: AbstractTropicalCurve):
     vindex = {v: i for i, v in enumerate(curve.vertices)}
     M = linalg.zeros(len(curve.vertices), len(curve.edges))
     for j, e in enumerate(curve.edges):
-        M[vindex[e.tail], j] += 1
+        M[vindex[e.tail]][j] += 1
         if e.head is not None:
-            M[vindex[e.head], j] -= 1
+            M[vindex[e.head]][j] -= 1
     return M
 
 

@@ -93,8 +93,7 @@ def outward_germs(h: ParametrizedTropicalCurve, v: str) -> list[tuple[str, int, 
         if e.tail == v:
             germs.append((e.id, d.weight, d.direction))
         if e.head == v:
-            A = d.deck.matrix()
-            transported = linalg.mat_vec(A, d.direction)
+            transported = linalg.mat_vec(d.deck.linear, d.direction)
             germs.append((e.id, d.weight, tuple(-int(c) for c in transported)))
     return germs
 
@@ -290,18 +289,16 @@ def deformation_constraints(h: ParametrizedTropicalCurve):
     rows = []
     for e in h.abstract.finite_edges():
         d = h.data(e.id)
-        A = d.deck.matrix()
+        A = d.deck.linear
         transported = linalg.mat_vec(A, d.direction)
         for phi in linalg.annihilator_basis(transported):
             row = [0] * ncols
-            row_tail = [sum(phi[i] * A[i, j] for i in range(n)) for j in range(n)]
+            row_tail = [sum(phi[i] * A[i][j] for i in range(n)) for j in range(n)]
             for j in range(n):
                 row[offsets[e.tail] + j] += row_tail[j]
                 row[offsets[e.head] + j] -= phi[j]
             rows.append(row)
-    if not rows:
-        return linalg.zeros(0, ncols)
-    return matrix(rows)
+    return linalg.Matrix(rows, ncols)
 
 
 def deformation_basis(h: ParametrizedTropicalCurve) -> list[dict[str, tuple]]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, gcd
 from typing import Sequence
 
 from .curve import INF, abstract_curve
@@ -98,8 +99,7 @@ class FiberCircle:
         )
         if self.closing.apply(end) != self.anchor:
             raise ValueError("closing deck element does not return the circle to its anchor")
-        A = self.closing.matrix()
-        if tuple(mat_vec(A, self.direction)) != self.direction:
+        if mat_vec(self.closing.linear, self.direction) != self.direction:
             raise ValueError("closing deck element does not preserve the travel direction")
 
     def point_at(self, t) -> tuple:
@@ -145,23 +145,39 @@ def fiber_circle(K: AffineQuotientManifold, axis: int, value) -> FiberCircle:
     raise ValueError("axis must be 1 or 2")
 
 
+def _rational_gcd(a, b) -> Fraction:
+    """The nonnegative generator of the group a Z + b Z."""
+    a, b = as_fraction(a), as_fraction(b)
+    return Fraction(gcd(a.numerator * b.denominator, b.numerator * a.denominator),
+                    a.denominator * b.denominator)
+
+
 def fiber_position(circle: FiberCircle, p: Sequence) -> Fraction:
     """Parameter t in [0, circumference) with circle.point_at(t) = p.
 
-    The travel coordinate pins t up to the quotient identifications, so
-    the finitely many shifted candidates are tested exactly; embedded
-    circles have exactly one match.
+    The deck generators of every kind that has canonical representatives
+    move a travel coordinate x_i to +-x_i plus a multiple of their i-th
+    translations, so the lifts of p meet the circle's line where x_i lies
+    in +-p_i + P Z, P the gcd of those translations.  One turn, from the
+    anchor to where the closing deck element takes the circle back, moves
+    x_i by circumference * |u_i|, which bounds the candidates; each is
+    tested exactly, and embedded circles have exactly one match.
     """
-    target = reduce_point(circle.manifold, p)
+    M = circle.manifold
+    target = reduce_point(M, p)
     c = circle.circumference
-    for i, d in enumerate(circle.direction):
-        if d != 0:
-            t0 = (as_fraction(target[i]) - as_fraction(circle.anchor[i])) / d
-            break
-    for k in range(8):
-        t = _mod(t0 + Fraction(k, 8) * c, c)
-        if circle.point_at(t) == target:
-            return t
+    i, d = next((i, d) for i, d in enumerate(circle.direction) if d != 0)
+    period = Fraction(0)
+    for g in M.generators:
+        period = _rational_gcd(period, g.translation[i])
+    step = period / abs(d) if period else c
+    signs = (1, -1) if any(g.linear[i][i] == -1 for g in M.generators) else (1,)
+    for sign in signs:
+        t0 = (sign * as_fraction(target[i]) - as_fraction(circle.anchor[i])) / d
+        for k in range(ceil(c / step)):
+            t = _mod(t0 + k * step, c)
+            if circle.point_at(t) == target:
+                return t
     raise ValueError("point does not lie on the circle")
 
 

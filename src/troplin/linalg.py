@@ -2,18 +2,18 @@
 
 Everything downstream (balancing residuals, kernels of boundary maps,
 holonomy fixed spaces) must produce exact zeros, so no floating point is
-used anywhere.  Matrices are numpy arrays with ``dtype=object`` holding
-Python ints and :class:`fractions.Fraction`; vectors at the API boundary
-are plain tuples.
+used anywhere.  A :class:`Matrix` is a list of rows of Python ints and
+Fractions; vectors at the API boundary are plain tuples.  One sparse,
+integer-preserving elimination (gcd-normalised rows, after Bareiss, Math.
+Comp. 1968) drives rref, rank, rational kernels, solving and det; integer
+kernels come from the Hermite normal form, which keeps them saturated.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import IrrationalData, ZeroVector
 
@@ -21,6 +21,18 @@ Rational = Fraction
 
 RING_RATIONALS = "rationals"
 RING_INTEGERS = "integers"
+
+
+class Matrix(list):
+    """A list of rows of exact entries that also knows its width."""
+
+    def __init__(self, rows: Iterable = (), ncols: int | None = None):
+        super().__init__(rows)
+        self.ncols = ncols if ncols is not None else (len(self[0]) if self else 0)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self), self.ncols
 
 
 def as_fraction(x) -> Fraction:
@@ -31,8 +43,8 @@ def as_fraction(x) -> Fraction:
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, np.integer)):
-        return Fraction(int(x))
+    if isinstance(x, int):
+        return Fraction(x)
     if isinstance(x, str):
         try:
             return Fraction(x)
@@ -43,166 +55,179 @@ def as_fraction(x) -> Fraction:
 
 def as_int(x) -> int:
     """Coerce ``x`` to an int, requiring an integer value."""
-    if isinstance(x, (int, np.integer)):
-        return int(x)
-    if isinstance(x, Fraction) and x.denominator == 1:
+    if isinstance(x, (int, Fraction)) and x.denominator == 1:
         return int(x)
     raise IrrationalData(f"not an integer: {x!r}")
 
 
+def _exact(q: Fraction):
+    """An integral Fraction as an int, any other unchanged."""
+    return q.numerator if q.denominator == 1 else q
+
+
 def vector(entries: Iterable) -> tuple:
     """An immutable exact vector (tuple of ints/Fractions)."""
-    out = []
-    for e in entries:
-        f = as_fraction(e)
-        out.append(int(f) if f.denominator == 1 else f)
-    return tuple(out)
+    return tuple(e if type(e) is int else _exact(as_fraction(e)) for e in entries)
 
 
-def matrix(rows: Sequence[Sequence]) -> np.ndarray:
-    """A 2-d object array from nested sequences of exact entries."""
-    rows = [list(r) for r in rows]
-    if rows:
-        ncols = len(rows[0])
-        if any(len(r) != ncols for r in rows):
-            raise ValueError("ragged rows")
-    m = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
-    for i, r in enumerate(rows):
-        for j, e in enumerate(r):
-            f = as_fraction(e)
-            m[i, j] = int(f) if f.denominator == 1 else f
-    return m
+def matrix(rows: Iterable[Sequence]) -> Matrix:
+    """A Matrix from nested sequences of exact entries."""
+    M = Matrix(list(vector(r)) for r in rows)
+    if any(len(r) != M.ncols for r in M):
+        raise ValueError("ragged rows")
+    return M
 
 
-def zeros(nrows: int, ncols: int) -> np.ndarray:
-    m = np.empty((nrows, ncols), dtype=object)
-    m[:, :] = 0
-    return m
+def zeros(nrows: int, ncols: int) -> Matrix:
+    return Matrix(([0] * ncols for _ in range(nrows)), ncols)
 
 
-def identity(n: int) -> np.ndarray:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i, i] = 1
-    return m
+def identity(n: int) -> Matrix:
+    return Matrix(([1 if i == j else 0 for j in range(n)] for i in range(n)), n)
 
 
-def mat_vec(M: np.ndarray, v: Sequence) -> tuple:
+def mat_vec(M: Sequence[Sequence], v: Sequence) -> tuple:
     """Exact matrix-vector product as a tuple."""
-    return tuple(sum(M[i, j] * v[j] for j in range(M.shape[1])) for i in range(M.shape[0]))
+    return tuple(sum(a * x for a, x in zip(row, v) if a) for row in M)
 
 
-def det(M: np.ndarray) -> Fraction:
-    """Exact determinant by fraction-aware Gaussian elimination."""
-    n, m = M.shape
-    if n != m:
+# ---------------------------------------------------------------------------
+# The elimination core
+
+
+def _integer_row(entries: Iterable) -> tuple[dict[int, int], int]:
+    """The nonzero entries of a row times the lcm of their denominators."""
+    row = {j: x for j, x in enumerate(entries) if x}
+    scale = lcm(*(x.denominator for x in row.values()))
+    return {j: x.numerator * (scale // x.denominator) for j, x in row.items()}, scale
+
+
+def _combine(row: dict, alpha: int, other: dict, beta: int) -> int:
+    """Replace row by the primitive part of alpha*row - beta*other; return its content."""
+    for j, x in row.items():
+        row[j] = alpha * x
+    for j, y in other.items():
+        x = row.get(j, 0) - beta * y
+        if x:
+            row[j] = x
+        else:
+            del row[j]
+    g = gcd(*row.values())
+    if g > 1:
+        for j, x in row.items():
+            row[j] = x // g
+    return g
+
+
+def _eliminate(rows: Iterable[Iterable]) -> tuple[dict[int, dict[int, int]], Fraction]:
+    """Gauss-Jordan elimination over sparse integer rows, one row at a time.
+
+    Returns ``(pivots, scale)``: ``pivots`` maps each pivot column, in input
+    row order, to a primitive row whose first column it is and which is zero
+    in every other pivot column, so dividing by the pivot entries gives the
+    unique reduced row echelon form; det(input) is scale * det(pivot rows).
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    num = den = 1  # det(input) = det(rows so far) * num / den
+    for entries in rows:
+        row, m = _integer_row(entries)
+        den *= m
+        for c in [c for c in row if c in pivots]:
+            a, p = row[c], pivots[c][c]
+            g = gcd(a, p)
+            num *= _combine(row, p // g, pivots[c], a // g)
+            den *= p // g
+        if not row:
+            continue
+        c = min(row)
+        for other in pivots.values():
+            b = other.get(c)
+            if b:
+                g = gcd(b, row[c])
+                num *= _combine(other, row[c] // g, row, b // g)
+                den *= row[c] // g
+        pivots[c] = row
+    return pivots, Fraction(num, den)
+
+
+def det(M: Sequence[Sequence]) -> Fraction:
+    """Exact determinant."""
+    n = len(M)
+    if any(len(row) != n for row in M):
         raise ValueError("determinant of a non-square matrix")
-    A = [[Fraction(M[i, j]) for j in range(n)] for i in range(n)]
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            sign = -sign
-        result *= A[col][col]
-        inv = 1 / A[col][col]
-        for r in range(col + 1, n):
-            if A[r][col] != 0:
-                factor = A[r][col] * inv
-                for c in range(col, n):
-                    A[r][c] -= factor * A[col][c]
-    return sign * result
+    pivots, scale = _eliminate(M)
+    if len(pivots) < n:
+        return Fraction(0)
+    # Each row is now a single entry in its pivot column: a signed permutation.
+    order = list(pivots)
+    inversions = sum(order[i] > order[j] for i in range(n) for j in range(i + 1, n))
+    return scale * (-1) ** inversions * prod(row[c] for c, row in pivots.items())
 
 
-def is_unimodular(M: np.ndarray) -> bool:
+def is_unimodular(M: Sequence[Sequence]) -> bool:
     """True iff M is a square integer matrix with determinant +-1."""
-    n, m = M.shape
-    if n != m:
+    if any(len(row) != len(M) or any(x.denominator != 1 for x in row) for row in M):
         return False
-    for i in range(n):
-        for j in range(n):
-            if not isinstance(M[i, j], (int, np.integer)) and not (
-                isinstance(M[i, j], Fraction) and M[i, j].denominator == 1
-            ):
-                return False
     return abs(det(M)) == 1
 
 
-def rref(M: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def rref(M: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form over the rationals and its pivot columns."""
     nrows, ncols = M.shape
-    A = np.empty_like(M)
-    for i in range(nrows):
-        for j in range(ncols):
-            A[i, j] = Fraction(M[i, j])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if A[i, c] != 0), None)
-        if piv is None:
-            continue
-        if piv != r:
-            A[[r, piv]] = A[[piv, r]]
-        A[r] = A[r] * (1 / A[r, c])
-        for i in range(nrows):
-            if i != r and A[i, c] != 0:
-                A[i] = A[i] - A[i, c] * A[r]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return A, pivots
+    pivots = _eliminate(M)[0]
+    cols = sorted(pivots)
+    R = zeros(nrows, ncols)
+    for out, c in zip(R, cols):
+        row = pivots[c]
+        for j, x in row.items():
+            out[j] = _exact(Fraction(x, row[c]))
+    return R, cols
 
 
-def rank(M: np.ndarray) -> int:
-    if 0 in M.shape:
-        return 0
-    return len(rref(M)[1])
+def rank(M: Sequence[Sequence]) -> int:
+    return len(_eliminate(M)[0])
 
 
-def hermite_normal_form(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _subtract(x: list, q: int, y: list) -> list:
+    return [a - q * b for a, b in zip(x, y)]
+
+
+def hermite_normal_form(M: Matrix) -> tuple[Matrix, Matrix]:
     """Row-style Hermite normal form with transformation matrix.
 
-    Returns ``(H, U)`` with ``U`` unimodular and ``H = U @ M``, where H is
+    Returns ``(H, U)`` with ``U`` unimodular and ``H = U M``, where H is
     upper echelon with positive pivots and the entries above each pivot
     reduced into ``[0, pivot)``.  Zero rows are collected at the bottom.
     """
     nrows, ncols = M.shape
-    H = np.empty((nrows, ncols), dtype=object)
-    for i in range(nrows):
-        for j in range(ncols):
-            H[i, j] = as_int(M[i, j])
+    H = Matrix(([as_int(x) for x in row] for row in M), ncols)
     U = identity(nrows)
     r = 0
     for c in range(ncols):
         # Euclid on the column below the current row until one entry remains.
         while True:
-            live = [i for i in range(r, nrows) if H[i, c] != 0]
+            live = [i for i in range(r, nrows) if H[i][c] != 0]
             if not live:
                 break
             if len(live) == 1:
                 i = live[0]
-                if i != r:
-                    H[[r, i]] = H[[i, r]]
-                    U[[r, i]] = U[[i, r]]
+                H[r], H[i] = H[i], H[r]
+                U[r], U[i] = U[i], U[r]
                 break
-            live.sort(key=lambda i: abs(H[i, c]))
+            live.sort(key=lambda i: abs(H[i][c]))
             i, j = live[0], live[1]
-            q = H[j, c] // H[i, c]
-            H[j] = H[j] - q * H[i]
-            U[j] = U[j] - q * U[i]
-        if r < nrows and H[r, c] != 0:
-            if H[r, c] < 0:
-                H[r] = -H[r]
-                U[r] = -U[r]
+            q = H[j][c] // H[i][c]
+            H[j] = _subtract(H[j], q, H[i])
+            U[j] = _subtract(U[j], q, U[i])
+        if r < nrows and H[r][c] != 0:
+            if H[r][c] < 0:
+                H[r] = [-x for x in H[r]]
+                U[r] = [-x for x in U[r]]
             for i in range(r):
-                q = H[i, c] // H[r, c]
+                q = H[i][c] // H[r][c]
                 if q != 0:
-                    H[i] = H[i] - q * H[r]
-                    U[i] = U[i] - q * U[r]
+                    H[i] = _subtract(H[i], q, H[r])
+                    U[i] = _subtract(U[i], q, U[r])
             r += 1
             if r == nrows:
                 break
@@ -219,51 +244,31 @@ def kernel_basis(M, ring: str = RING_RATIONALS) -> list[tuple]:
     is unimodular that lattice is automatically saturated (every integer
     vector of the rational kernel is an integer combination of the basis).
     """
-    if not isinstance(M, np.ndarray):
+    if not isinstance(M, Matrix):
         M = matrix(M)
     nrows, ncols = M.shape
-    if ncols == 0:
-        return []
     if ring == RING_RATIONALS:
-        if nrows == 0:
-            return [vector(1 if i == j else 0 for i in range(ncols)) for j in range(ncols)]
-        R, pivots = rref(M)
-        free = [c for c in range(ncols) if c not in pivots]
-        basis = []
-        for f in free:
-            v = [Fraction(0)] * ncols
-            v[f] = Fraction(1)
-            for r, p in enumerate(pivots):
-                v[p] = -R[r, f]
-            basis.append(vector(v))
-        return basis
+        pivots = _eliminate(M)[0]
+        free = {f: [1 if j == f else 0 for j in range(ncols)]
+                for f in range(ncols) if f not in pivots}
+        for c, row in pivots.items():
+            for j, x in row.items():
+                if j != c:
+                    free[j][c] = _exact(Fraction(-x, row[c]))
+        return [tuple(v) for v in free.values()]
     if ring == RING_INTEGERS:
         # Clear denominators row by row; this does not change the kernel.
-        Mi = np.empty((nrows, ncols), dtype=object)
-        for i in range(nrows):
-            denoms = [as_fraction(M[i, j]).denominator for j in range(ncols)]
-            scale = 1
-            for d in denoms:
-                scale = scale * d // gcd(scale, d)
-            for j in range(ncols):
-                Mi[i, j] = int(as_fraction(M[i, j]) * scale)
-        if nrows == 0:
-            return [vector(1 if i == j else 0 for i in range(ncols)) for j in range(ncols)]
-        H, U = hermite_normal_form(Mi.T.copy())
-        basis = []
-        for i in range(ncols):
-            if all(H[i, j] == 0 for j in range(H.shape[1])):
-                basis.append(vector(int(U[i, j]) for j in range(ncols)))
-        return basis
+        rows = [_integer_row(row)[0] for row in M]
+        H, U = hermite_normal_form(
+            Matrix(([row.get(j, 0) for row in rows] for j in range(ncols)), nrows)
+        )
+        return [tuple(U[i]) for i in range(ncols) if not any(H[i])]
     raise ValueError(f"unknown ring {ring!r}")
 
 
 def content(v: Sequence[int]) -> int:
     """Nonnegative gcd of the entries."""
-    g = 0
-    for e in v:
-        g = gcd(g, abs(as_int(e)))
-    return g
+    return gcd(*(as_int(e) for e in v))
 
 
 def primitive_part(v: Sequence[int]) -> tuple[tuple, int]:
@@ -280,20 +285,16 @@ def annihilator_basis(v: Sequence[int]) -> list[tuple]:
     return kernel_basis(matrix([list(v)]), RING_INTEGERS)
 
 
-def solve_rational(A: np.ndarray, b: Sequence) -> tuple | None:
+def solve_rational(A: Matrix, b: Sequence) -> tuple | None:
     """One exact solution of A x = b, or None if inconsistent."""
-    nrows, ncols = A.shape
-    aug = np.empty((nrows, ncols + 1), dtype=object)
-    aug[:, :ncols] = A
-    for i in range(nrows):
-        aug[i, ncols] = as_fraction(b[i])
-    R, pivots = rref(aug)
+    ncols = A.shape[1]
+    pivots = _eliminate([*row, x] for row, x in zip(A, vector(b)))[0]
     if ncols in pivots:
         return None
-    x = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = R[r, ncols]
-    return vector(x)
+    x = [0] * ncols
+    for c, row in pivots.items():
+        x[c] = _exact(Fraction(row.get(ncols, 0), row[c]))
+    return tuple(x)
 
 
 def in_integer_span(basis: Sequence[Sequence[int]], w: Sequence[int]) -> bool:
@@ -301,7 +302,5 @@ def in_integer_span(basis: Sequence[Sequence[int]], w: Sequence[int]) -> bool:
     if not basis:
         return all(as_int(e) == 0 for e in w)
     A = matrix([[row[j] for row in basis] for j in range(len(basis[0]))])
-    x = solve_rational(A, list(w))
-    if x is None:
-        return False
-    return all(as_fraction(c).denominator == 1 for c in x)
+    x = solve_rational(A, w)
+    return x is not None and all(c.denominator == 1 for c in x)

@@ -15,8 +15,6 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-import numpy as np
-
 from . import linalg
 from .errors import (
     DegenerateLattice,
@@ -54,7 +52,7 @@ class DeckElement:
     def dim(self) -> int:
         return len(self.translation)
 
-    def matrix(self) -> np.ndarray:
+    def matrix(self) -> linalg.Matrix:
         return matrix(self.linear)
 
     def apply(self, x: Sequence) -> tuple:
@@ -68,13 +66,12 @@ class DeckElement:
 
     def compose(self, other: "DeckElement") -> "DeckElement":
         """self after other: x -> self(other(x))."""
-        A, B = self.matrix(), other.matrix()
-        AB = A @ B
-        t = vector(
-            sum(A[i, j] * other.translation[j] for j in range(self.dim)) + self.translation[i]
-            for i in range(self.dim)
+        A, B = self.linear, other.linear
+        n = self.dim
+        AB = tuple(
+            tuple(sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)) for i in range(n)
         )
-        return DeckElement(tuple(tuple(int(e) for e in row) for row in AB), t)
+        return DeckElement(AB, self.apply(other.translation))
 
     def inverse(self) -> "DeckElement":
         A = self.matrix()
@@ -86,8 +83,7 @@ class DeckElement:
             inv_rows.append(col)
         # solve gives columns of A^-1; assemble and transpose.
         Ainv = tuple(tuple(as_int(inv_rows[j][i]) for j in range(n)) for i in range(n))
-        Ainv_m = matrix(Ainv)
-        t = vector(-sum(Ainv_m[i, j] * self.translation[j] for j in range(n)) for i in range(n))
+        t = vector(-x for x in linalg.mat_vec(Ainv, self.translation))
         return DeckElement(Ainv, t)
 
     def is_identity(self) -> bool:
@@ -97,11 +93,16 @@ class DeckElement:
         ) and all(t == 0 for t in self.translation)
 
     def power(self, k: int) -> "DeckElement":
-        n = self.dim
-        result = identity_deck(n)
+        """self composed with itself k times, by repeated squaring."""
+        result = identity_deck(self.dim)
         g = self if k >= 0 else self.inverse()
-        for _ in range(abs(k)):
-            result = result.compose(g)
+        k = abs(k)
+        while k:
+            if k & 1:
+                result = result.compose(g)
+            k >>= 1
+            if k:
+                g = g.compose(g)
         return result
 
 
@@ -250,11 +251,10 @@ def p_subsets(n: int, p: int) -> list[tuple[int, ...]]:
     return list(combinations(range(n), p))
 
 
-def _minor(A: np.ndarray, rows: Sequence[int], cols: Sequence[int]):
+def _minor(A: Sequence[Sequence], rows: Sequence[int], cols: Sequence[int]):
     if len(rows) == 0:
         return 1
-    sub = matrix([[A[i, j] for j in cols] for i in rows])
-    return linalg.det(sub)
+    return linalg.det([[A[i][j] for j in cols] for i in rows])
 
 
 @dataclass(frozen=True)
@@ -283,7 +283,7 @@ class TropicalForm:
         vecs = [vector(v) for v in vectors]
         if any(len(v) != self.dim for v in vecs):
             raise ValueError("vector dimension mismatch")
-        cols = matrix([[v[i] for v in vecs] for i in range(self.dim)]) if self.degree else None
+        cols = [[v[i] for v in vecs] for i in range(self.dim)]
         total = Fraction(0)
         for coeff, S in zip(self.coefficients, p_subsets(self.dim, self.degree)):
             if coeff == 0:
@@ -291,7 +291,7 @@ class TropicalForm:
             total += coeff * _minor(cols, list(S), list(range(self.degree)))
         return total
 
-    def pullback(self, A: np.ndarray) -> "TropicalForm":
+    def pullback(self, A: Sequence[Sequence[int]]) -> "TropicalForm":
         """The form w(A ., ..., A .) for an integer matrix A."""
         subsets = p_subsets(self.dim, self.degree)
         coeffs = []
@@ -385,9 +385,7 @@ def reduce_point(M: AffineQuotientManifold, x: Sequence) -> tuple:
         V = matrix([[g.translation[i] for g in M.generators] for i in range(M.dim)])
         c = linalg.solve_rational(V, x)
         frac = [as_fraction(ci) - _floor_div(as_fraction(ci), Fraction(1)) for ci in c]
-        return vector(
-            sum(V[i, j] * frac[j] for j in range(M.dim)) for i in range(M.dim)
-        )
+        return vector(linalg.mat_vec(V, frac))
     if M.kind == KIND_KLEIN:
         x0, y0 = M.klein_params
         k = _floor_div(as_fraction(x[0]), x0)
@@ -410,7 +408,7 @@ def contains_deck(M: AffineQuotientManifold, g: DeckElement) -> bool | None:
     if M.kind == KIND_EUCLIDEAN:
         return g.is_identity()
     if M.kind == KIND_TORUS:
-        if not g.matrix().tolist() == identity_deck(M.dim).matrix().tolist():
+        if g.linear != identity_deck(M.dim).linear:
             return False
         V = matrix([[gen.translation[i] for gen in M.generators] for i in range(M.dim)])
         c = linalg.solve_rational(V, g.translation)

@@ -198,10 +198,11 @@ class GradedSpace:
 
     def evaluate(self, vectors: Sequence[Sequence]) -> Fraction:
         """The signed block-diagonal form on degree-many total vectors."""
+        vecs = [vector(v) for v in vectors]
         total = Fraction(0)
         offset = 0
         for b in self.blocks:
-            slices = [vector(v)[offset : offset + b.dimension] for v in vectors]
+            slices = [v[offset : offset + b.dimension] for v in vecs]
             total += b.sign * b.form.evaluate(slices)
             offset += b.dimension
         return total

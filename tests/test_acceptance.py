@@ -79,7 +79,7 @@ def test_criterion_2_homology_forms_equivalence():
         forms = t.locally_constant_forms(curve)
         assert len(cycles) == len(forms)
         M = [
-            [boundary_matrix(curve)[i, j] for j in range(len(curve.edges))]
+            [boundary_matrix(curve)[i][j] for j in range(len(curve.edges))]
             for i in range(len(curve.vertices))
         ]
         for form in forms:

@@ -112,7 +112,7 @@ class TestEta:
 
     def test_theta_basis_in_kernel(self):
         curve = theta_curve()
-        M = [[boundary_matrix(curve)[i, j] for j in range(3)] for i in range(2)]
+        M = [[boundary_matrix(curve)[i][j] for j in range(3)] for i in range(2)]
         for form in t.locally_constant_forms(curve):
             chain = t.eta(curve, form)
             assert kernel_contains(M, chain)
@@ -134,7 +134,7 @@ class TestRandomGraphs:
             forms = t.locally_constant_forms(curve)
             assert len(cycles) == len(forms)
             M = [
-                [boundary_matrix(curve)[i, j] for j in range(len(curve.edges))]
+                [boundary_matrix(curve)[i][j] for j in range(len(curve.edges))]
                 for i in range(len(curve.vertices))
             ]
             for form in forms:

@@ -233,6 +233,18 @@ class TestCLI:
         bad.write_text("{not json")
         assert run_cli("validate", str(bad)) == 1
 
+    def test_unparsable_rationals_exit_1(self, tmp_path):
+        assert run_cli(
+            "witness", str(t.data_path("klein.json")),
+            "--relation", "fiber", "--point", "abc,1",
+        ) == 1
+        doc = json.loads(Path(t.data_path("fig1a.json")).read_text())
+        finite = next(e for e in doc["edges"] if e.get("length", "inf") != "inf")
+        finite["length"] = 0.5
+        bad = tmp_path / "float.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("validate", str(bad)) == 1
+
     def test_color_env(self, capsys, monkeypatch):
         monkeypatch.setenv("TROPLIN_COLOR", "always")
         run_cli("validate", str(t.data_path("fig1a.json")))

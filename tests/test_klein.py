@@ -62,6 +62,26 @@ class TestFiberCircle:
         ti = t.fiber_position(circle, t.iota(klein23, p))
         assert abs(tp - ti) == 2  # x0 apart on a circle of circumference 2 x0
 
+    def test_position_on_a_circle_that_wraps_three_times(self):
+        """Direction (3, 1) crosses the x-period three times per turn, so the
+        lifts of a point sit 4/3 apart in the circle parameter."""
+        T = t.make_torus([(4, 0), (0, 4)])
+        circle = t.circle_embedding(T, (0, 0), (3, 1), 4, translation_deck((-12, -4)))
+        assert t.fiber_position(circle, circle.point_at(2)) == 2
+        for k in range(32):
+            s = Fraction(k, 8)
+            assert t.fiber_position(circle, circle.point_at(s)) == s
+
+    @given(st.integers(0, 47), st.sampled_from([(1, 0), (Fraction(1, 2), 1), (0, Fraction(3, 2))]))
+    @settings(max_examples=60, deadline=None)
+    def test_position_inverts_point_at_on_klein_fibres(self, k, anchor):
+        K = t.make_klein(2, 3)
+        # The last circle starts one b-translate over, where lifts of a point reflect in y.
+        shifted = t.circle_embedding(K, (anchor[0] + 2, 0), (0, 1), 3, K.deck_from_word("a^-1"))
+        for circle in (t.fiber_circle(K, 1, anchor[0]), t.fiber_circle(K, 2, anchor[1]), shifted):
+            s = Fraction(k, 12) % circle.circumference
+            assert t.fiber_position(circle, circle.point_at(s)) == s
+
 
 class TestPiecewiseLinearEvaluate:
     def test_values_and_wrap_segment(self):

@@ -66,6 +66,17 @@ class TestApplyDeck:
             assert g.compose(g.inverse()).is_identity()
             assert g.inverse().compose(g).is_identity()
 
+    def test_large_powers_match_closed_form(self):
+        """b^k (x, y) = (x + k x0, (-1)^k y), at exponents a linear loop cannot reach."""
+        x0 = Fraction(2)
+        K = t.make_klein(x0, 3)
+        assert K.deck_from_word("b^10000") == t.DeckElement(((1, 0), (0, 1)), (10000 * x0, 0))
+        assert K.deck_from_word("b^-10001") == t.DeckElement(((1, 0), (0, -1)), (-10001 * x0, 0))
+        b = K.generator("b")
+        for k in range(-5, 6):
+            expected = t.DeckElement(((1, 0), (0, 1 if k % 2 == 0 else -1)), (k * x0, 0))
+            assert b.power(k) == expected
+
 
 class TestInvariantForms:
     def test_klein_degree_one_is_dx(self):
@@ -163,7 +174,7 @@ class TestAlbanese:
                 A = g.matrix()
                 for form in alb.forms:
                     for v in ((1, 0), (0, 1), (3, -2)):
-                        Av = [sum(A[i, j] * v[j] for j in range(2)) for i in range(2)]
+                        Av = [sum(A[i][j] * v[j] for j in range(2)) for i in range(2)]
                         moved = [Av[i] - v[i] for i in range(2)]
                         assert form.evaluate([moved]) == 0
 

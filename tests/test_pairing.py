@@ -78,7 +78,7 @@ class TestChartConsistency:
         A = d.deck.matrix()
         n = h.manifold.dim
         transported = [
-            sum(A[i, j] * d.direction[j] for j in range(n)) for i in range(n)
+            sum(A[i][j] * d.direction[j] for j in range(n)) for i in range(n)
         ]
         vecs = [D[edge.head] for D in deformations] + [transported]
         return d.weight * omega.evaluate(vecs)
