@@ -40,6 +40,7 @@ from .errors import (
     DegenerateLattice,
     DimensionMismatch,
     FormNotInvariant,
+    InputError,
     InvalidCurve,
     IrrationalData,
     NonDiscretePeriodLattice,

@@ -22,7 +22,7 @@ from .embedded import (
     evaluate_at_infinity,
     validate_parametrized,
 )
-from .errors import IrrationalData, TroplinError
+from .errors import InputError, TroplinError
 from .klein import albanese_class, chow_equivalent, witness_fiber_relation, witness_two_torsion
 from .manifold import invariant_forms
 from .pairing import isotropy_check, roitman_bound_check
@@ -320,8 +320,7 @@ def run(argv) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (IrrationalData, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
-        # IrrationalData is a TroplinError, but it rejects input, not a check.
+    except (InputError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TroplinError as exc:

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 from . import linalg
 from .curve import INF, AbstractTropicalCurve, validate_abstract
 from .errors import InvalidCurve, NotHorizontal, WrongAmbient
-from .linalg import as_fraction, as_int, matrix, vector
+from .linalg import as_fraction, as_int, vector
 from .manifold import (
     KIND_EUCLIDEAN,
     KIND_PRODUCT,
@@ -114,32 +114,31 @@ def _edge_segment(h: ParametrizedTropicalCurve, e) -> tuple[tuple, tuple, object
 
 
 def _segment_pair_intersections(p, dp, lp, q, dq, lq):
-    """Exact intersection of two closed segments/rays in R^n.
+    """Exact intersection of two closed segments/rays ``p + s dp``, ``q + t dq``.
 
     Returns a list of intersection points when the set is finite, or the
     string ``"overlap"`` when the segments share infinitely many points.
+    The directions are non-zero integer vectors; ``s`` and ``t`` come from
+    Cramer's rule on the first non-zero 2x2 minor of ``[dp, -dq]``.
     """
     n = len(p)
-    M = matrix([[dp[i], -dq[i]] for i in range(n)])
-    rhs = [as_fraction(q[i]) - as_fraction(p[i]) for i in range(n)]
-    if linalg.rank(M) == 2:
-        sol = linalg.solve_rational(M, rhs)
-        if sol is None:
-            return []
-        s, t = as_fraction(sol[0]), as_fraction(sol[1])
-        if s < 0 or (lp is not INF and s > lp) or t < 0 or (lq is not INF and t > lq):
-            return []
-        return [vector(as_fraction(p[i]) + s * dp[i] for i in range(n))]
+    r = [q[i] - p[i] for i in range(n)]
+    for i, j in combinations(range(n), 2):
+        D = dq[i] * dp[j] - dp[i] * dq[j]
+        if D != 0:
+            s = Fraction(dq[i] * r[j] - r[i] * dq[j], D)
+            t = Fraction(dp[i] * r[j] - r[i] * dp[j], D)
+            if any(s * dp[k] - t * dq[k] != r[k] for k in range(n)):
+                return []
+            if s < 0 or (lp is not INF and s > lp) or t < 0 or (lq is not INF and t > lq):
+                return []
+            return [vector(p[k] + s * dp[k] for k in range(n))]
     # Parallel directions: either disjoint lines or a shared line.
-    sol = linalg.solve_rational(matrix([[dp[i]] for i in range(n)]), rhs)
-    if sol is None:
+    i = next(k for k in range(n) if dp[k] != 0)
+    s0 = Fraction(r[i]) / dp[i]  # q = p + s0 dp
+    if any(s0 * dp[k] != r[k] for k in range(n)):
         return []
-    s0 = as_fraction(sol[0])  # q = p + s0 dp
-    lam = None  # dq = lam dp
-    for i in range(n):
-        if dp[i] != 0:
-            lam = Fraction(dq[i], dp[i])
-            break
+    lam = Fraction(dq[i], dp[i])  # dq = lam dp
     lo = s0 if lam > 0 else (s0 + lam * lq if lq is not INF else -INF)
     hi = (s0 + lam * lq if lq is not INF else INF) if lam > 0 else s0
     lo2 = max(Fraction(0), lo) if lo != -INF else Fraction(0)
@@ -151,16 +150,64 @@ def _segment_pair_intersections(p, dp, lp, q, dq, lq):
     if lo2 > hi2:
         return []
     if lo2 == hi2:
-        return [vector(as_fraction(p[i]) + lo2 * dp[i] for i in range(n))]
+        return [vector(p[k] + lo2 * dp[k] for k in range(n))]
     return "overlap"
+
+
+def _edge_box(p, d, length) -> list[tuple]:
+    """Exact (low, high) per coordinate of an edge; a ray is unbounded
+    wherever its direction moves and pinned where that component is 0."""
+    box = []
+    for x, c in zip(p, d):
+        if length is not INF:
+            y = x + length * c
+            box.append((x, y) if c >= 0 else (y, x))
+        else:
+            box.append((x, INF) if c > 0 else (-INF, x) if c < 0 else (x, x))
+    return box
+
+
+def _box_overlap_pairs(boxes: Sequence[list[tuple]]) -> list[tuple[int, int]]:
+    """Index pairs ``(i, j)``, ``i < j``, in lexicographic order, whose
+    closed boxes meet: sort by the low end on coordinate 0 and sweep an
+    active list, then compare the remaining coordinates."""
+    order = sorted(range(len(boxes)), key=lambda i: boxes[i][0][0])
+    active: list[int] = []
+    pairs = []
+    for i in order:
+        low = boxes[i][0][0]
+        active = [j for j in active if boxes[j][0][1] >= low]
+        for j in active:
+            if all(a[0] <= b[1] and b[0] <= a[1] for a, b in zip(boxes[i][1:], boxes[j][1:])):
+                pairs.append((j, i) if j < i else (i, j))
+        active.append(i)
+    pairs.sort()
+    return pairs
+
+
+def _intersecting_edge_pairs(h: ParametrizedTropicalCurve) -> list[tuple]:
+    """``(e, f, hits)`` for every pair of edges of a euclidean curve that
+    meet, in edge order; ``hits`` is a list of points or ``"overlap"``."""
+    edges = list(h.abstract.edges)
+    segments = [_edge_segment(h, e) for e in edges]
+    boxes = [_edge_box(*seg) for seg in segments]
+    found = []
+    for i, j in _box_overlap_pairs(boxes):
+        hits = _segment_pair_intersections(*segments[i], *segments[j])
+        if hits:
+            found.append((edges[i], edges[j], hits))
+    return found
 
 
 def validate_parametrized(h: ParametrizedTropicalCurve) -> Report:
     """Run every structural and geometric invariant, collecting violations.
 
-    For euclidean ambients an exact global embeddedness check (pairwise
-    segment/ray intersection) runs as well; for quotients, embeddedness
-    beyond local injectivity is reported as not checked.
+    For euclidean ambients an exact global embeddedness check runs as
+    well: a sort-and-sweep over exact per-edge bounding boxes keeps only
+    the edge pairs whose boxes meet, and each is tested for intersection
+    by an exact Cramer's-rule predicate.  For quotients, embeddedness
+    beyond local injectivity is reported as skipped, and so is deck-group
+    membership when it cannot be decided (general manifolds).
     """
     report = Report("parametrized curve")
     abstract_report = validate_abstract(h.abstract)
@@ -202,12 +249,20 @@ def validate_parametrized(h: ParametrizedTropicalCurve) -> Report:
     if bad:
         return report
 
-    unknown = []
+    unknown, undecided = [], []
     for e in h.abstract.edges:
         member = contains_deck(h.manifold, h.data(e.id).deck)
         if member is False:
             unknown.append(f"{e.id}: deck element not in the group")
-    report.add("deck elements belong to the group", not unknown, "; ".join(unknown))
+        elif member is None:
+            undecided.append(e.id)
+    if undecided and not unknown:
+        report.skip(
+            "deck elements belong to the group",
+            f"cannot be decided for a general deck group (edges {', '.join(undecided)})",
+        )
+    else:
+        report.add("deck elements belong to the group", not unknown, "; ".join(unknown))
 
     mismatched = []
     for e in h.abstract.finite_edges():
@@ -237,11 +292,7 @@ def validate_parametrized(h: ParametrizedTropicalCurve) -> Report:
 
     if h.manifold.kind == KIND_EUCLIDEAN and report.passed:
         overlaps = []
-        edges = list(h.abstract.edges)
-        for e, f in combinations(edges, 2):
-            pe, de, le = _edge_segment(h, e)
-            pf, df, lf = _edge_segment(h, f)
-            hits = _segment_pair_intersections(pe, de, le, pf, df, lf)
+        for e, f, hits in _intersecting_edge_pairs(h):
             if hits == "overlap":
                 overlaps.append(f"{e.id} and {f.id} overlap along a segment")
                 continue

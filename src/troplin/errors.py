@@ -13,7 +13,12 @@ class ZeroVector(TroplinError):
     """A nonzero vector was required."""
 
 
-class IrrationalData(TroplinError):
+class InputError(TroplinError):
+    """The input is malformed or does not suit the operation: a usage
+    error, not a failed mathematical check."""
+
+
+class IrrationalData(InputError):
     """A value could not be interpreted as an exact rational."""
 
 
@@ -29,7 +34,7 @@ class NonDiscretePeriodLattice(TroplinError):
     """The span of the periods is not a discrete subgroup."""
 
 
-class UnsupportedManifoldKind(TroplinError):
+class UnsupportedManifoldKind(InputError):
     """The operation is not available for this manifold kind."""
 
 

@@ -5,6 +5,10 @@ Rationals travel as ``"p/q"`` strings (plain ``"p"`` when integral) and
 serialize round-trip exactly.  Deck elements in files may be generator
 words such as ``"a^-1 b"``, resolved against the manifold's named
 generators, or explicit matrix-plus-translation objects.
+
+Parsers check the JSON shape of what they read and raise ``InputError``
+on a document that does not fit, so malformed files surface as one-line
+usage errors rather than as exceptions from deep inside the library.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .embedded import (
     ZeroCycle,
     zero_cycle,
 )
-from .errors import TroplinError
+from .errors import InputError
 from .linalg import as_fraction, as_int, vector
 from .manifold import (
     KIND_EUCLIDEAN,
@@ -38,6 +42,39 @@ from .manifold import (
 from .pairing import Block, GradedSpace
 
 
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _json_type(value) -> str:
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "a boolean"
+    return _JSON_TYPES.get(type(value), "a number")
+
+
+def _expect(value, kind: type, what: str):
+    """``value`` if it is a JSON ``kind`` (dict, list or str), else an InputError."""
+    if not isinstance(value, kind):
+        raise InputError(f"{what} must be {_JSON_TYPES[kind]}, not {_json_type(value)}")
+    return value
+
+
+def _member(doc: dict, key: str, what: str, kind: type = object):
+    """``doc[key]``, required to be present and, if given, a JSON ``kind``."""
+    if key not in doc:
+        raise InputError(f"{what} has no {key!r} entry")
+    return _expect(doc[key], kind, f"the {key!r} entry of {what}")
+
+
+def _objects(items, what: str) -> list[dict]:
+    return [_expect(item, dict, what) for item in items]
+
+
+def _int(x) -> int:
+    return as_int(as_fraction(x))
+
+
 def frac_str(x) -> str:
     f = as_fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
@@ -52,7 +89,7 @@ def vector_json(v) -> list[str]:
 
 
 def parse_vector(items) -> tuple:
-    return vector(as_fraction(x) for x in items)
+    return vector(as_fraction(x) for x in _expect(items, list, "a vector"))
 
 
 def length_json(length) -> str:
@@ -75,17 +112,15 @@ def deck_json(g: DeckElement) -> dict:
 
 
 def parse_deck(obj, manifold: AffineQuotientManifold | None = None) -> DeckElement:
-    if isinstance(obj, str):
+    word = obj if isinstance(obj, str) else _expect(obj, dict, "a deck element").get("word")
+    if word is not None:
         if manifold is None:
-            raise TroplinError("generator words need a manifold to resolve against")
-        return manifold.deck_from_word(obj)
-    if "word" in obj:
-        if manifold is None:
-            raise TroplinError("generator words need a manifold to resolve against")
-        return manifold.deck_from_word(obj["word"])
+            raise InputError("generator words need a manifold to resolve against")
+        return manifold.deck_from_word(_expect(word, str, "a deck word"))
+    rows = _member(obj, "matrix", "a deck element", list)
     return DeckElement(
-        tuple(tuple(int(e) for e in row) for row in obj["matrix"]),
-        parse_vector(obj["translation"]),
+        tuple(tuple(_int(e) for e in _expect(row, list, "a matrix row")) for row in rows),
+        parse_vector(_member(obj, "translation", "a deck element")),
     )
 
 
@@ -105,30 +140,37 @@ def manifold_json(M: AffineQuotientManifold) -> dict:
 
 
 def parse_manifold(doc: dict) -> AffineQuotientManifold:
-    kind = doc["kind"]
+    what = "a manifold document"
+    kind = _member(_expect(doc, dict, what), "kind", what, str)
     if kind == KIND_EUCLIDEAN:
-        return make_euclidean(int(doc["dim"]))
-    if kind == KIND_TORUS:
-        lattice = [parse_vector(g["translation"]) for g in doc["generators"]]
-        return make_torus(lattice)
-    if kind == KIND_KLEIN:
-        params = doc.get("klein")
-        if params is not None:
-            return make_klein(parse_frac(params["x0"]), parse_frac(params["y0"]))
-        b = next(g for g in doc["generators"] if g.get("name") == "b")
-        a = next(g for g in doc["generators"] if g.get("name") == "a")
-        return make_klein(parse_frac(b["translation"][0]), parse_frac(a["translation"][1]))
+        return make_euclidean(_int(_member(doc, "dim", what)))
     if kind == KIND_PRODUCT:
         if "base" not in doc:
-            raise TroplinError("product manifold document needs a base")
+            raise InputError("product manifold document needs a base")
         return product_with_line(parse_manifold(doc["base"]))
-    if kind == KIND_GENERAL:
-        gens = tuple(parse_deck(g) for g in doc["generators"])
-        names = tuple(
-            g.get("name", f"g{i + 1}") for i, g in enumerate(doc["generators"])
-        )
-        return AffineQuotientManifold(int(doc["dim"]), gens, names, KIND_GENERAL)
-    raise TroplinError(f"unknown manifold kind {kind!r}")
+    if kind == KIND_KLEIN and doc.get("klein") is not None:
+        params = _expect(doc["klein"], dict, "the 'klein' entry")
+        return make_klein(_member(params, "x0", "the 'klein' entry"),
+                          _member(params, "y0", "the 'klein' entry"))
+    if kind not in (KIND_TORUS, KIND_KLEIN, KIND_GENERAL):
+        raise InputError(f"unknown manifold kind {kind!r}")
+    gens = _objects(_member(doc, "generators", what, list), "a generator")
+    if kind == KIND_TORUS:
+        return make_torus([parse_vector(_member(g, "translation", "a generator")) for g in gens])
+    if kind == KIND_KLEIN:
+        named = {g["name"]: g for g in gens if g.get("name") in ("a", "b")}
+        if len(named) != 2:
+            raise InputError("a klein document needs a 'klein' entry or generators 'a' and 'b'")
+        a, b = (parse_vector(_member(named[k], "translation", "a generator")) for k in "ab")
+        if len(a) != 2 or len(b) != 2:
+            raise InputError("klein generators need 2-coordinate translations")
+        return make_klein(b[0], a[1])
+    names = tuple(
+        _expect(g.get("name", f"g{i + 1}"), str, "a generator name") for i, g in enumerate(gens)
+    )
+    return AffineQuotientManifold(
+        _int(_member(doc, "dim", what)), tuple(parse_deck(g) for g in gens), names, KIND_GENERAL
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +191,14 @@ def abstract_curve_json(curve: AbstractTropicalCurve) -> dict:
 
 
 def parse_abstract_curve(doc: dict) -> AbstractTropicalCurve:
+    what = "a curve document"
     edges = []
-    for e in doc["edges"]:
+    for e in _objects(_member(_expect(doc, dict, what), "edges", what, list), "an edge"):
         head = None if e.get("boundary") else e["head"]
         edges.append(Edge(str(e["id"]), str(e["tail"]), head if head is None else str(head),
                           parse_length(e["length"])))
-    return AbstractTropicalCurve(tuple(str(v) for v in doc["vertices"]), tuple(edges))
+    vertices = _member(doc, "vertices", what, list)
+    return AbstractTropicalCurve(tuple(str(v) for v in vertices), tuple(edges))
 
 
 def parametrized_curve_json(h: ParametrizedTropicalCurve) -> dict:
@@ -180,13 +224,16 @@ def parametrized_curve_json(h: ParametrizedTropicalCurve) -> dict:
 def parse_parametrized_curve(doc: dict) -> ParametrizedTropicalCurve:
     manifold = parse_manifold(doc["manifold"])
     abstract = parse_abstract_curve(doc)
-    positions = {str(v): parse_vector(pos) for v, pos in doc["positions"].items()}
+    what = "a parametrized curve document"
+    positions = {
+        str(v): parse_vector(pos) for v, pos in _member(doc, "positions", what, dict).items()
+    }
     data = {}
-    for entry in doc["edges+"]:
+    for entry in _objects(_member(doc, "edges+", what, list), "an 'edges+' entry"):
         deck = entry.get("deck")
         data[str(entry["id"])] = EmbeddedEdgeData(
-            tuple(int(c) for c in entry["direction"]),
-            int(entry.get("weight", 1)),
+            parse_vector(_member(entry, "direction", "an 'edges+' entry")),
+            _int(entry.get("weight", 1)),
             parse_length(entry["image_length"]),
             parse_deck(deck, manifold) if deck is not None
             else DeckElement(
@@ -198,8 +245,8 @@ def parse_parametrized_curve(doc: dict) -> ParametrizedTropicalCurve:
     return ParametrizedTropicalCurve(manifold, abstract, positions, data)
 
 
-def is_parametrized_doc(doc: dict) -> bool:
-    return "positions" in doc or "edges+" in doc
+def is_parametrized_doc(doc) -> bool:
+    return isinstance(doc, dict) and ("positions" in doc or "edges+" in doc)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +258,10 @@ def form_json(form: TropicalForm) -> dict:
 
 
 def parse_form(doc: dict) -> TropicalForm:
-    return TropicalForm(int(doc["dim"]), int(doc["degree"]),
-                        tuple(int(c) for c in doc["coefficients"]))
+    what = "a form document"
+    coefficients = _member(_expect(doc, dict, what), "coefficients", what, list)
+    return TropicalForm(_int(_member(doc, "dim", what)), _int(_member(doc, "degree", what)),
+                        tuple(_int(c) for c in coefficients))
 
 
 def cycle_json(z: ZeroCycle) -> list[dict]:
@@ -220,7 +269,11 @@ def cycle_json(z: ZeroCycle) -> list[dict]:
 
 
 def parse_cycle(doc, manifold: AffineQuotientManifold) -> ZeroCycle:
-    return zero_cycle(manifold, [(parse_vector(e["point"]), as_int(e["mult"])) for e in doc])
+    what = "a 0-cycle entry"
+    entries = _objects(_expect(doc, list, "a 0-cycle document"), what)
+    return zero_cycle(manifold, [
+        (parse_vector(_member(e, "point", what)), _int(_member(e, "mult", what))) for e in entries
+    ])
 
 
 def graded_space_json(space: GradedSpace, vectors=()) -> dict:
@@ -234,12 +287,14 @@ def graded_space_json(space: GradedSpace, vectors=()) -> dict:
 
 
 def parse_graded_space(doc: dict) -> tuple[GradedSpace, list[tuple]]:
+    what = "a graded space document"
     blocks = tuple(
-        Block(int(b["dimension"]), int(b["sign"]), parse_form(b["form"]))
-        for b in doc["blocks"]
+        Block(_int(_member(b, "dimension", "a block")), _int(_member(b, "sign", "a block")),
+              parse_form(_member(b, "form", "a block")))
+        for b in _objects(_member(_expect(doc, dict, what), "blocks", what, list), "a block")
     )
-    vectors = [parse_vector(v) for v in doc.get("vectors", [])]
-    return GradedSpace(blocks), vectors
+    vectors = _expect(doc.get("vectors", []), list, f"the 'vectors' entry of {what}")
+    return GradedSpace(blocks), [parse_vector(v) for v in vectors]
 
 
 # ---------------------------------------------------------------------------

@@ -402,7 +402,8 @@ def reduce_point(M: AffineQuotientManifold, x: Sequence) -> tuple:
 
 
 def contains_deck(M: AffineQuotientManifold, g: DeckElement) -> bool | None:
-    """Whether g belongs to the deck group; None if undecidable (general kind)."""
+    """Whether g belongs to the deck group; None if undecidable (general kind,
+    other than the identity)."""
     if g.dim != M.dim:
         return False
     if M.kind == KIND_EUCLIDEAN:
@@ -438,7 +439,7 @@ def contains_deck(M: AffineQuotientManifold, g: DeckElement) -> bool | None:
             tuple(tuple(row[:-1]) for row in g.linear[:-1]), g.translation[:-1]
         )
         return contains_deck(M.base, head) if M.base is not None else None
-    return None
+    return True if g.is_identity() else None
 
 
 def require_invariant(M: AffineQuotientManifold, form: TropicalForm) -> None:

@@ -3,11 +3,15 @@
 Everything here is deliberately written from scratch on top of plain
 Python Fractions so that a library bug cannot hide behind shared code:
 row reduction for ranks and nullities, minor-based deformation
-constraints, and brute-force orbit enumeration on the Klein deck group.
+constraints, brute-force orbit enumeration on the Klein deck group, and
+the all-pairs, elimination-based euclidean embeddedness check.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
+
+INF = float("inf")
 
 
 def rref_oracle(rows):
@@ -126,3 +130,79 @@ def klein_fiber_circumference_oracle(x0, y0, anchor, direction, window=5):
         if wx == t * dx and wy == t * dy and t > 0:
             best = t if best is None else min(best, t)
     return best
+
+
+def solve_oracle(rows, rhs):
+    """One solution of rows x = rhs (free unknowns 0), or None if inconsistent."""
+    ncols = len(rows[0])
+    A, pivots = rref_oracle([list(row) + [b] for row, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for row, c in zip(A, pivots):
+        x[c] = row[-1]
+    return x
+
+
+def _point(entries):
+    return tuple(x.numerator if x.denominator == 1 else x for x in map(Fraction, entries))
+
+
+def segment_pair_intersections_oracle(p, dp, lp, q, dq, lq):
+    """Intersection of two closed segments/rays by elimination on [dp, -dq].
+
+    A list of points when finite, ``"overlap"`` when infinite; lengths
+    equal to ``INF`` mark rays."""
+    n = len(p)
+    M = [[dp[i], -dq[i]] for i in range(n)]
+    rhs = [Fraction(q[i]) - Fraction(p[i]) for i in range(n)]
+    if rank_oracle(M) == 2:
+        sol = solve_oracle(M, rhs)
+        if sol is None:
+            return []
+        s, t = sol
+        if s < 0 or (lp != INF and s > lp) or t < 0 or (lq != INF and t > lq):
+            return []
+        return [_point(Fraction(p[i]) + s * dp[i] for i in range(n))]
+    # Parallel directions: either disjoint lines or a shared line.
+    sol = solve_oracle([[dp[i]] for i in range(n)], rhs)
+    if sol is None:
+        return []
+    s0 = sol[0]  # q = p + s0 dp
+    lam = next(Fraction(dq[i], dp[i]) for i in range(n) if dp[i] != 0)  # dq = lam dp
+    # parameter interval of q's edge along p's line, clipped to p's edge
+    ends = [s0, s0 + lam * lq if lq != INF else (INF if lam > 0 else -INF)]
+    lo, hi = max(Fraction(0), min(ends)), max(ends)
+    if lp != INF:
+        hi = min(hi, lp)
+    if lo > hi:
+        return []
+    if lo == hi:
+        return [_point(Fraction(p[i]) + lo * dp[i] for i in range(n))]
+    return "overlap"
+
+
+def embeddedness_oracle(h):
+    """All-pairs euclidean embeddedness check of a parametrized curve.
+
+    Returns ``(pairs, detail)``: ``(e.id, f.id, hits)`` for every edge pair
+    that meets, in edge order, and the failure detail the validator gives."""
+    pairs, overlaps = [], []
+    for e, f in combinations(h.abstract.edges, 2):
+        de, df = h.data(e.id), h.data(f.id)
+        hits = segment_pair_intersections_oracle(
+            h.position(e.tail), de.direction, de.image_length,
+            h.position(f.tail), df.direction, df.image_length,
+        )
+        if not hits:
+            continue
+        pairs.append((e.id, f.id, hits))
+        if hits == "overlap":
+            overlaps.append(f"{e.id} and {f.id} overlap along a segment")
+            continue
+        shared = {e.tail, e.head} & {f.tail, f.head} - {None}
+        allowed = {_point(h.position(v)) for v in shared}
+        for pt in hits:
+            if pt not in allowed:
+                overlaps.append(f"{e.id} and {f.id} meet at {pt} away from a shared vertex")
+    return pairs, "; ".join(overlaps)

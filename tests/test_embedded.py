@@ -2,16 +2,74 @@
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_t2_horizontal_curve
-from oracles import deformation_nullity_minor_oracle
+from conftest import build_t2_cycle, random_t2_horizontal_curve
+from oracles import deformation_nullity_minor_oracle, embeddedness_oracle
 
 import troplin as t
-from troplin.embedded import balancing_residual
+from troplin.embedded import _intersecting_edge_pairs, balancing_residual
 from troplin.errors import NotHorizontal, WrongAmbient
-from troplin.manifold import translation_deck
+from troplin.manifold import KIND_GENERAL, AffineQuotientManifold, translation_deck
+
+
+def _primitive(v):
+    """The primitive integer vector along a non-zero rational vector."""
+    den = lcm(*(Fraction(x).denominator for x in v))
+    w = [int(x * den) for x in v]
+    g = gcd(*w)
+    return tuple(c // g for c in w)
+
+
+@st.composite
+def balanced_euclidean_curves(draw):
+    """Segments between integer and half-integer points of a small grid and
+    rays (direction components may be 0) in R^2 or R^3, with one extra ray
+    per vertex that balances it.  The grid is small, so collinear overlaps,
+    parallel edges, shared endpoints and crossings away from vertices all
+    occur often."""
+    n = draw(st.sampled_from([2, 3]))
+    coordinate = st.integers(-2, 2).map(lambda k: Fraction(k, 2))
+    points = draw(st.lists(st.tuples(*[coordinate] * n), min_size=2, max_size=5))
+    steps = st.tuples(*[st.integers(-2, 2)] * n).filter(any).map(_primitive)
+    edges, data, seen = [], {}, set()
+    for k in range(draw(st.integers(1, 6))):
+        tail = draw(st.integers(0, len(points) - 1))
+        head = draw(st.integers(0, len(points) - 1))
+        diff = [b - a for a, b in zip(points[tail], points[head])]
+        if draw(st.booleans()) and any(diff) and (tail, head) not in seen:
+            seen.add((tail, head))
+            d = _primitive(diff)
+            length = next(x / c for x, c in zip(diff, d) if c != 0)
+            edges.append((f"s{k}", f"v{tail}", f"v{head}", length))
+            data[f"s{k}"] = dict(direction=d, image_length=length)
+        else:
+            along = [v["direction"] for v in data.values()]
+            d = draw(st.sampled_from(along) if along and draw(st.booleans()) else steps)
+            edges.append((f"r{k}", f"v{tail}", None, t.INF))
+            data[f"r{k}"] = dict(direction=d, image_length=t.INF)
+    used = sorted({v for _, a, b, _ in edges for v in (a, b) if v is not None})
+    positions = {v: points[int(v[1:])] for v in used}
+    residual = {v: [0] * n for v in used}
+    for eid, a, b, _ in edges:
+        for i, c in enumerate(data[eid]["direction"]):
+            residual[a][i] += c
+            if b is not None:
+                residual[b][i] -= c
+    for v in used:
+        if any(residual[v]):
+            d = _primitive(residual[v])
+            weight = next(x // c for x, c in zip(residual[v], d) if c != 0)
+            edges.append((f"b{v}", v, None, t.INF))
+            data[f"b{v}"] = dict(direction=tuple(-c for c in d), weight=weight,
+                                 image_length=t.INF)
+    return t.parametrized_curve(
+        t.make_euclidean(n), t.abstract_curve(used, edges), positions, data
+    )
 
 
 class TestValidateParametrized:
@@ -125,6 +183,39 @@ class TestValidateParametrized:
         report = t.validate_parametrized(overlapping)
         failures = [c for c in report.failures() if c.name.startswith("global")]
         assert failures and "overlap" in failures[0].detail
+
+    @given(balanced_euclidean_curves())
+    @settings(max_examples=300, deadline=None)
+    def test_sweep_agrees_with_all_pairs_oracle(self, h):
+        pairs, detail = embeddedness_oracle(h)
+        assert [(e.id, f.id, hits) for e, f, hits in _intersecting_edge_pairs(h)] == pairs
+        report = t.validate_parametrized(h)
+        check = next(
+            (c for c in report.checks if c.name == "global embeddedness (euclidean)"), None
+        )
+        if check is not None:
+            assert check.detail == detail
+            assert check.status == ("fail" if detail else "pass")
+
+    def test_undecidable_deck_membership_is_skipped(self):
+        cycle = build_t2_cycle()
+        T = cycle.manifold
+        general = AffineQuotientManifold(T.dim, T.generators, T.names, KIND_GENERAL)
+        h = t.ParametrizedTropicalCurve(general, cycle.abstract, cycle.positions,
+                                        cycle.edge_data)
+        report = t.validate_parametrized(h)
+        (check,) = [c for c in report.checks if c.name == "deck elements belong to the group"]
+        assert check.status == "skipped"
+        assert "cannot be decided" in check.detail and "loop" in check.detail
+        assert report.passed
+
+    def test_identity_decks_belong_to_a_general_group(self, line_r2):
+        general = AffineQuotientManifold(2, (), (), KIND_GENERAL)
+        h = t.ParametrizedTropicalCurve(general, line_r2.abstract, line_r2.positions,
+                                        line_r2.edge_data)
+        report = t.validate_parametrized(h)
+        (check,) = [c for c in report.checks if c.name == "deck elements belong to the group"]
+        assert check.status == "pass"
 
     def test_quotient_embeddedness_not_checked(self, t2_cycle):
         report = t.validate_parametrized(t2_cycle)

@@ -1,12 +1,16 @@
 """Serialization round trips, file formats, and the command line."""
 
+import contextlib
+import io as textio
 import json
 import random
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -300,3 +304,131 @@ class TestAbstractCurveCLI:
         assert run_cli("deform", str(path)) == 1
         assert run_cli("ev", str(path)) == 1
         assert run_cli("isotropy", str(path)) == 1
+
+
+def _data(name):
+    return str(t.data_path(name))
+
+
+def _write_doc(tmp_path, doc, name="doc.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestMalformedInputExits1:
+    """Documents of the wrong shape or kind are usage errors: exit 1 with a
+    one-line message, never a traceback and never "check failed"."""
+
+    def assert_usage_error(self, capsys, *argv):
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: ") and "\n" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("deform", "zp.json"),
+        ("validate", "zp.json"),
+        ("forms", "-p", "1", "zp.json"),
+        ("homology", "ziotap.json"),
+        ("ev", "ziotap.json"),
+    ])
+    def test_zero_cycle_file_where_curve_or_manifold_expected(self, capsys, argv):
+        self.assert_usage_error(capsys, *(_data(a) if a.endswith(".json") else a for a in argv))
+
+    def test_non_list_edges(self, tmp_path, capsys):
+        path = _write_doc(tmp_path, {"vertices": ["v"], "edges": 5})
+        self.assert_usage_error(capsys, "validate", path)
+
+    def test_klein_without_block_or_generator_b(self, tmp_path, capsys):
+        doc = io.load_json(_data("klein.json"))
+        del doc["klein"]
+        doc["generators"] = [g for g in doc["generators"] if g["name"] != "b"]
+        self.assert_usage_error(capsys, "forms", "-p", "1", _write_doc(tmp_path, doc))
+
+    def test_klein_without_block_reads_generators(self, tmp_path, capsys):
+        doc = io.load_json(_data("klein.json"))
+        del doc["klein"]
+        assert run_cli("forms", "-p", "1", _write_doc(tmp_path, doc)) == 0
+        assert "rank 1" in capsys.readouterr().out
+
+    def test_albanese_on_a_torus(self, tmp_path, capsys):
+        torus = _write_doc(tmp_path, io.manifold_json(t.make_torus([(4, 0), (0, 4)])))
+        self.assert_usage_error(capsys, "albanese", torus, _data("zp.json"))
+
+    def test_unknown_manifold_kind(self, tmp_path, capsys):
+        sphere = _write_doc(tmp_path, {"kind": "sphere", "dim": 2, "generators": []})
+        self.assert_usage_error(capsys, "forms", "-p", "1", sphere)
+
+    def test_product_without_base(self, tmp_path, capsys):
+        product = _write_doc(tmp_path, {"kind": "product_with_line", "dim": 3, "generators": []})
+        self.assert_usage_error(capsys, "forms", "-p", "1", product)
+
+
+BUNDLED = ["fig1a.json", "t2-cycle.json", "klein.json", "zp.json", "ziotap.json", "dxdy.json"]
+WRONG_TYPED_KEYS = ("kind", "edges", "vertices", "generators")
+scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=4))
+wrong_values = st.one_of(
+    scalars,
+    st.lists(scalars, max_size=3),
+    st.dictionaries(st.text(max_size=3), scalars, max_size=2),
+)
+
+
+def _objects_in(node, found):
+    """Every JSON object inside a document, the document included."""
+    if isinstance(node, dict):
+        found.append(node)
+        for value in node.values():
+            _objects_in(value, found)
+    elif isinstance(node, list):
+        for value in node:
+            _objects_in(value, found)
+    return found
+
+
+@st.composite
+def malformed_documents(draw):
+    """A bundled document with one defect: replaced by a non-object, one key
+    removed from one of its objects, or one of ``kind``, ``edges``,
+    ``vertices`` and ``generators`` given a value of the wrong type."""
+    doc = io.load_json(_data(draw(st.sampled_from(BUNDLED))))
+    defect = draw(st.sampled_from(["non-object", "missing key", "wrong type"]))
+    if defect == "non-object":
+        return draw(st.one_of(scalars, st.lists(scalars, max_size=3)))
+    objects = _objects_in(doc, [])
+    if defect == "wrong type":
+        objects = [o for o in objects if any(k in o for k in WRONG_TYPED_KEYS)] or objects
+    target = draw(st.sampled_from(objects))
+    if defect == "missing key":
+        if target:
+            del target[draw(st.sampled_from(sorted(target)))]
+    else:
+        key = draw(st.sampled_from([k for k in WRONG_TYPED_KEYS if k in target]
+                                   or list(WRONG_TYPED_KEYS)))
+        target[key] = draw(wrong_values)
+    return doc
+
+
+class TestMalformedDocumentProperty:
+    @given(malformed_documents())
+    @settings(max_examples=120, deadline=None)
+    def test_every_subcommand_exits_0_1_or_2(self, doc):
+        """No malformed document makes any subcommand raise."""
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = str(Path(tmp) / "bad.json")
+            Path(bad).write_text(json.dumps(doc))
+            invocations = [
+                ["validate", bad], ["homology", bad], ["forms", "-p", "1", bad],
+                ["deform", bad], ["ev", bad], ["isotropy", bad],
+                ["isotropy", _data("t2-cycle.json"), "--form", bad], ["roitman", bad],
+                ["albanese", bad, _data("zp.json")], ["albanese", _data("klein.json"), bad],
+                ["chow-equiv", bad, _data("zp.json"), _data("ziotap.json")],
+                ["chow-equiv", _data("klein.json"), _data("zp.json"), bad],
+                ["witness", bad, "--relation", "fiber", "--point", "1/2,1"],
+                ["witness", bad, "--relation", "two-torsion", "--point", "1/2,1"],
+            ]
+            for argv in invocations:
+                with contextlib.redirect_stdout(textio.StringIO()), \
+                        contextlib.redirect_stderr(textio.StringIO()):
+                    code = cli.run(argv)
+                assert code in (0, 1, 2), argv
