@@ -43,7 +43,6 @@ from .errors import (
     InputError,
     InvalidCurve,
     IrrationalData,
-    NonDiscretePeriodLattice,
     NonPositiveParameter,
     NonZeroDegree,
     NotADeformation,
@@ -74,8 +73,8 @@ from .klein import (
     witness_two_torsion,
 )
 from .linalg import (
-    Rational,
     hermite_normal_form,
+    integer_kernel_basis,
     kernel_basis,
     primitive_part,
 )

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import io
 from .curve import locally_constant_forms, relative_h1_basis, validate_abstract
@@ -87,17 +86,15 @@ def _load_parametrized(path: str):
 
 
 def _cmd_validate(args) -> int:
-    def one(path: str) -> Report:
+    reports = []
+    for path in args.files:  # every file is read before any report is printed
         curve = _load_curve(path)
         if hasattr(curve, "manifold"):
             report = validate_parametrized(curve)
         else:
             report = validate_abstract(curve)
         report.subject = path
-        return report
-
-    with ThreadPoolExecutor(max_workers=min(8, len(args.files))) as pool:
-        reports = list(pool.map(one, args.files))
+        reports.append(report)
     code = EXIT_OK
     for report in reports:
         _print_report(report, args.json)

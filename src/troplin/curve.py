@@ -10,6 +10,7 @@ assumes.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -51,26 +52,11 @@ class AbstractTropicalCurve:
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
 
-    def edge(self, edge_id: str) -> Edge:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise KeyError(f"no edge {edge_id!r}")
-
     def finite_edges(self) -> list[Edge]:
         return [e for e in self.edges if not e.is_infinite]
 
     def infinite_edges(self) -> list[Edge]:
         return [e for e in self.edges if e.is_infinite]
-
-    def valence(self, v: str) -> int:
-        count = 0
-        for e in self.edges:
-            if e.tail == v:
-                count += 1
-            if e.head == v:
-                count += 1
-        return count
 
 
 def abstract_curve(vertices: Sequence[str], edges: Sequence[tuple]) -> AbstractTropicalCurve:
@@ -110,10 +96,11 @@ def validate_abstract(curve: AbstractTropicalCurve) -> Report:
         if not e.is_infinite and e.length <= 0:
             bad_len.append(f"{e.id}: nonpositive length")
     report.add("edge lengths", not bad_len, "; ".join(bad_len))
-    low = [v for v in curve.vertices if curve.valence(v) < 2]
+    valence = Counter(v for e in curve.edges for v in (e.tail, e.head))
+    low = [v for v in curve.vertices if valence[v] < 2]
     report.add(
         "no vertices of valence < 2", not low,
-        "; ".join(f"{v}: valence {curve.valence(v)}" for v in low),
+        "; ".join(f"{v}: valence {valence[v]}" for v in low),
     )
     return report
 
@@ -144,7 +131,7 @@ def boundary_matrix(curve: AbstractTropicalCurve):
 def relative_h1_basis(curve: AbstractTropicalCurve) -> list[tuple]:
     """Basis of the kernel of the relative boundary map, as edge vectors."""
     require_valid(curve)
-    return linalg.kernel_basis(boundary_matrix(curve), linalg.RING_RATIONALS)
+    return linalg.kernel_basis(boundary_matrix(curve))
 
 
 @dataclass(frozen=True)
@@ -191,7 +178,7 @@ def satisfies_vertex_equations(curve: AbstractTropicalCurve, form: LocallyConsta
 def locally_constant_forms(curve: AbstractTropicalCurve) -> list[LocallyConstantForm]:
     """Basis of the edge assignments satisfying every vertex equation."""
     require_valid(curve)
-    basis = linalg.kernel_basis(vertex_equation_matrix(curve), linalg.RING_RATIONALS)
+    basis = linalg.kernel_basis(vertex_equation_matrix(curve))
     ids = tuple(e.id for e in curve.edges)
     return [LocallyConstantForm(ids, b) for b in basis]
 

@@ -10,6 +10,7 @@ chart-correct without fundamental-domain case analysis.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -85,26 +86,30 @@ def parametrized_curve(
     return ParametrizedTropicalCurve(manifold, abstract, dict(positions), data)
 
 
-def outward_germs(h: ParametrizedTropicalCurve, v: str) -> list[tuple[str, int, tuple]]:
-    """(edge id, weight, primitive outward direction in v's chart) at v."""
-    germs = []
+def outward_germs(h: ParametrizedTropicalCurve) -> dict[str, list[tuple[str, int, tuple]]]:
+    """{vertex: [(edge id, weight, primitive outward direction in its chart)]},
+    from one pass over the edges; a self-loop gives its vertex both germs."""
+    germs = defaultdict(list)
     for e in h.abstract.edges:
         d = h.data(e.id)
-        if e.tail == v:
-            germs.append((e.id, d.weight, d.direction))
-        if e.head == v:
+        germs[e.tail].append((e.id, d.weight, d.direction))
+        if e.head is not None:
             transported = linalg.mat_vec(d.deck.linear, d.direction)
-            germs.append((e.id, d.weight, tuple(-int(c) for c in transported)))
+            germs[e.head].append((e.id, d.weight, tuple(-int(c) for c in transported)))
     return germs
+
+
+def _weighted_sum(n: int, germs) -> tuple:
+    total = [0] * n
+    for _, w, germ in germs:
+        for i, c in enumerate(germ):
+            total[i] += w * c
+    return tuple(total)
 
 
 def balancing_residual(h: ParametrizedTropicalCurve, v: str) -> tuple:
     """Weighted sum of the outward primitive directions at v (zero iff balanced)."""
-    total = [0] * h.manifold.dim
-    for _, w, germ in outward_germs(h, v):
-        for i, c in enumerate(germ):
-            total[i] += w * c
-    return tuple(total)
+    return _weighted_sum(h.manifold.dim, outward_germs(h)[v])
 
 
 def _edge_segment(h: ParametrizedTropicalCurve, e) -> tuple[tuple, tuple, object]:
@@ -275,22 +280,28 @@ def validate_parametrized(h: ParametrizedTropicalCurve) -> Report:
             mismatched.append(f"{e.id}: tail + length*direction does not reach head")
     report.add("position consistency", not mismatched, "; ".join(mismatched))
 
+    germs = outward_germs(h)
     unbalanced = []
     for v in h.abstract.vertices:
-        residual = balancing_residual(h, v)
+        residual = _weighted_sum(n, germs[v])
         if any(c != 0 for c in residual):
             unbalanced.append(f"{v}: residual {residual}")
     report.add("balancing", not unbalanced, "; ".join(unbalanced))
 
     clashes = []
     for v in h.abstract.vertices:
-        germs = outward_germs(h, v)
-        for (e1, _, g1), (e2, _, g2) in combinations(germs, 2):
+        for (e1, _, g1), (e2, _, g2) in combinations(germs[v], 2):
             if g1 == g2:
                 clashes.append(f"{v}: edges {e1} and {e2} leave along the same ray")
     report.add("local injectivity", not clashes, "; ".join(clashes))
 
-    if h.manifold.kind == KIND_EUCLIDEAN and report.passed:
+    if h.manifold.kind != KIND_EUCLIDEAN:
+        report.skip(
+            "global embeddedness", "not checked beyond local injectivity in quotient ambients"
+        )
+    elif not report.passed:
+        report.skip("global embeddedness", "not checked because an earlier check failed")
+    else:
         overlaps = []
         for e, f, hits in _intersecting_edge_pairs(h):
             if hits == "overlap":
@@ -304,10 +315,6 @@ def validate_parametrized(h: ParametrizedTropicalCurve) -> Report:
                 if pt not in allowed:
                     overlaps.append(f"{e.id} and {f.id} meet at {pt} away from a shared vertex")
         report.add("global embeddedness (euclidean)", not overlaps, "; ".join(overlaps))
-    else:
-        report.skip(
-            "global embeddedness", "not checked beyond local injectivity in quotient ambients"
-        )
     return report
 
 
@@ -359,26 +366,29 @@ def deformation_basis(h: ParametrizedTropicalCurve) -> list[dict[str, tuple]]:
     is that of the solution space of the per-edge parallelism conditions.
     """
     require_valid_parametrized(h)
+    return _deformation_basis(h)
+
+
+def _deformation_basis(h: ParametrizedTropicalCurve) -> list[dict[str, tuple]]:
+    """``deformation_basis`` of a curve the caller has already validated."""
     n = h.manifold.dim
     offsets = _vertex_offsets(h)
-    M = deformation_constraints(h)
-    basis = linalg.kernel_basis(M, linalg.RING_RATIONALS)
-    out = []
-    for b in basis:
-        out.append({v: vector(b[off : off + n]) for v, off in offsets.items()})
-    return out
+    basis = linalg.kernel_basis(deformation_constraints(h))
+    return [{v: vector(b[off : off + n]) for v, off in offsets.items()} for b in basis]
 
 
 def is_deformation(h: ParametrizedTropicalCurve, assignment: Mapping[str, Sequence]) -> bool:
     """Whether a vertex assignment satisfies every edge condition of h."""
+    return _satisfies(h, deformation_constraints(h), assignment)
+
+
+def _satisfies(h: ParametrizedTropicalCurve, M, assignment: Mapping[str, Sequence]) -> bool:
+    """Whether a vertex assignment lies in the null space of the constraints M of h."""
     n = h.manifold.dim
-    offsets = _vertex_offsets(h)
-    flat = [Fraction(0)] * (n * len(h.abstract.vertices))
-    for v, off in offsets.items():
+    flat = []
+    for v in h.abstract.vertices:
         vec = vector(assignment[v])
-        for j in range(n):
-            flat[off + j] = as_fraction(vec[j])
-    M = deformation_constraints(h)
+        flat.extend(as_fraction(vec[j]) for j in range(n))
     return all(r == 0 for r in linalg.mat_vec(M, flat))
 
 

@@ -30,10 +30,6 @@ class DegenerateLattice(TroplinError):
     """Lattice vectors are linearly dependent."""
 
 
-class NonDiscretePeriodLattice(TroplinError):
-    """The span of the periods is not a discrete subgroup."""
-
-
 class UnsupportedManifoldKind(InputError):
     """The operation is not available for this manifold kind."""
 

@@ -17,11 +17,6 @@ from typing import Iterable, Sequence
 
 from .errors import IrrationalData, ZeroVector
 
-Rational = Fraction
-
-RING_RATIONALS = "rationals"
-RING_INTEGERS = "integers"
-
 
 class Matrix(list):
     """A list of rows of exact entries that also knows its width."""
@@ -234,36 +229,40 @@ def hermite_normal_form(M: Matrix) -> tuple[Matrix, Matrix]:
     return H, U
 
 
-def kernel_basis(M, ring: str = RING_RATIONALS) -> list[tuple]:
-    """Basis of the null space of M over the given ring.
+def kernel_basis(M) -> list[tuple]:
+    """Basis of the rational null space of M, one vector per free column
+    of the reduced row echelon form."""
+    if not isinstance(M, Matrix):
+        M = matrix(M)
+    ncols = M.ncols
+    pivots = _eliminate(M)[0]
+    free = {f: [1 if j == f else 0 for j in range(ncols)]
+            for f in range(ncols) if f not in pivots}
+    for c, row in pivots.items():
+        for j, x in row.items():
+            if j != c:
+                free[j][c] = _exact(Fraction(-x, row[c]))
+    return [tuple(v) for v in free.values()]
 
-    Over the rationals the basis comes from the reduced row echelon form.
-    Over the integers it comes from the Hermite normal form of the
-    transpose: the rows of the transformation matrix paired with zero rows
-    of H form a basis of the kernel lattice, and since the transformation
-    is unimodular that lattice is automatically saturated (every integer
-    vector of the rational kernel is an integer combination of the basis).
+
+def integer_kernel_basis(M) -> list[tuple]:
+    """Basis of the integer null space of M.
+
+    It comes from the Hermite normal form of the transpose: the rows of the
+    transformation matrix paired with zero rows of H form a basis of the
+    kernel lattice, and since the transformation is unimodular that lattice
+    is automatically saturated (every integer vector of the rational kernel
+    is an integer combination of the basis).
     """
     if not isinstance(M, Matrix):
         M = matrix(M)
     nrows, ncols = M.shape
-    if ring == RING_RATIONALS:
-        pivots = _eliminate(M)[0]
-        free = {f: [1 if j == f else 0 for j in range(ncols)]
-                for f in range(ncols) if f not in pivots}
-        for c, row in pivots.items():
-            for j, x in row.items():
-                if j != c:
-                    free[j][c] = _exact(Fraction(-x, row[c]))
-        return [tuple(v) for v in free.values()]
-    if ring == RING_INTEGERS:
-        # Clear denominators row by row; this does not change the kernel.
-        rows = [_integer_row(row)[0] for row in M]
-        H, U = hermite_normal_form(
-            Matrix(([row.get(j, 0) for row in rows] for j in range(ncols)), nrows)
-        )
-        return [tuple(U[i]) for i in range(ncols) if not any(H[i])]
-    raise ValueError(f"unknown ring {ring!r}")
+    # Clear denominators row by row; this does not change the kernel.
+    rows = [_integer_row(row)[0] for row in M]
+    H, U = hermite_normal_form(
+        Matrix(([row.get(j, 0) for row in rows] for j in range(ncols)), nrows)
+    )
+    return [tuple(U[i]) for i in range(ncols) if not any(H[i])]
 
 
 def content(v: Sequence[int]) -> int:
@@ -282,7 +281,7 @@ def primitive_part(v: Sequence[int]) -> tuple[tuple, int]:
 
 def annihilator_basis(v: Sequence[int]) -> list[tuple]:
     """Saturated integer basis of the covectors vanishing on v."""
-    return kernel_basis(matrix([list(v)]), RING_INTEGERS)
+    return integer_kernel_basis(matrix([list(v)]))
 
 
 def solve_rational(A: Matrix, b: Sequence) -> tuple | None:

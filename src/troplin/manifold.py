@@ -330,7 +330,7 @@ def invariant_forms(M: AffineQuotientManifold, p: int) -> list[TropicalForm]:
     if not rows:
         basis = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
     else:
-        basis = linalg.kernel_basis(matrix(rows), linalg.RING_INTEGERS)
+        basis = linalg.integer_kernel_basis(matrix(rows))
     return [TropicalForm(M.dim, p, tuple(b)) for b in basis]
 
 

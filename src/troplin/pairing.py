@@ -20,8 +20,10 @@ from . import linalg
 from .curve import LocallyConstantForm, satisfies_vertex_equations
 from .embedded import (
     ParametrizedTropicalCurve,
+    _deformation_basis,
+    _satisfies,
     deformation_basis,
-    is_deformation,
+    deformation_constraints,
     is_horizontal_at_infinity,
     require_valid_parametrized,
 )
@@ -69,8 +71,9 @@ def phi_contract(
             f"need a degree-{k + 1} covector on a {h.manifold.dim}-dimensional ambient"
         )
     require_invariant(h.manifold, omega)
+    M = deformation_constraints(h)
     for D in deformations:
-        if not is_deformation(h, D):
+        if not _satisfies(h, M, D):
             raise NotADeformation("assignment violates an edge condition")
     values = []
     for e in h.abstract.edges:
@@ -103,8 +106,11 @@ def end_evaluation(
 ) -> Fraction:
     """Signed, weighted sum over the infinite ends of omega_tilde applied
     to the base projections of the deformations at the end's base vertex."""
-    base, ends = _base_and_ends(h)
-    last = h.manifold.dim - 1
+    _, ends = _base_and_ends(h)
+    return _end_sum(h.manifold.dim - 1, ends, omega_tilde, deformations)
+
+
+def _end_sum(last: int, ends, omega_tilde: TropicalForm, deformations) -> Fraction:
     total = Fraction(0)
     for _, sign, weight, tail in ends:
         vecs = [vector(D[tail])[:last] for D in deformations]
@@ -143,12 +149,13 @@ def isotropy_check(
             "vacuous", f"no nonzero invariant {degree}-forms on the base (rank 0)"
         )
         return report
-    basis = deformation_basis(h)
+    basis = _deformation_basis(h)
+    last = h.manifold.dim - 1
     for fi, form in enumerate(forms):
         gram = []
         ok = True
         for tup in combinations(range(len(basis)), degree):
-            val = end_evaluation(h, form, [basis[i] for i in tup])
+            val = _end_sum(last, ends, form, [basis[i] for i in tup])
             gram.append(f"D{tup}={val}")
             if val != 0:
                 ok = False

@@ -48,6 +48,12 @@ class TestValidateAbstract:
         assert not report.passed
         assert any("valence" in c.name for c in report.failures())
 
+    def test_valence_detail_counts_each_end(self):
+        # v is isolated, u is a leaf, and the self-loop gives w valence 2
+        bad = t.abstract_curve(["v", "u", "w"], [("r", "u", None, t.INF), ("loop", "w", "w", 1)])
+        (check,) = t.validate_abstract(bad).failures()
+        assert check.detail == "v: valence 0; u: valence 1"
+
     def test_theta_valid(self):
         assert t.validate_abstract(theta_curve()).passed
 

@@ -196,6 +196,25 @@ class TestValidateParametrized:
         if check is not None:
             assert check.detail == detail
             assert check.status == ("fail" if detail else "pass")
+        else:
+            assert not report.passed
+            assert report.checks[-1] == t.Check(
+                "global embeddedness", "skipped", "not checked because an earlier check failed"
+            )
+
+    def test_unbalanced_euclidean_curve_skips_embeddedness(self, euclid2):
+        h = t.parametrized_curve(
+            euclid2,
+            t.abstract_curve("v", [("a", "v", None, t.INF), ("b", "v", None, t.INF)]),
+            {"v": (0, 0)},
+            {"a": dict(direction=(1, 0), image_length=t.INF),
+             "b": dict(direction=(0, 1), image_length=t.INF)},
+        )
+        report = t.validate_parametrized(h)
+        assert [c.name for c in report.failures()] == ["balancing"]
+        assert report.checks[-1] == t.Check(
+            "global embeddedness", "skipped", "not checked because an earlier check failed"
+        )
 
     def test_undecidable_deck_membership_is_skipped(self):
         cycle = build_t2_cycle()

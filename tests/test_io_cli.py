@@ -158,6 +158,18 @@ class TestCLI:
         bad.write_text(json.dumps(doc))
         assert run_cli("validate", str(bad)) == 2
 
+    def test_validate_good_bad_good_reports_in_order(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("TROPLIN_COLOR", "never")
+        good = str(t.data_path("fig1a.json"))
+        doc = io.load_json(good)
+        doc["edges+"][0]["weight"] = 2
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run_cli("validate", good, str(bad), good) == 2
+        out = capsys.readouterr().out
+        headers = [line for line in out.splitlines() if not line.startswith(" ")]
+        assert headers == [f"{good}: pass", f"{bad}: fail", f"{good}: pass"]
+
     def test_isotropy_example(self, capsys):
         assert run_cli(
             "isotropy", str(t.data_path("t2-cycle.json")),
@@ -256,6 +268,13 @@ class TestCLI:
         monkeypatch.setenv("TROPLIN_COLOR", "never")
         run_cli("validate", str(t.data_path("fig1a.json")))
         assert "\x1b[" not in capsys.readouterr().out
+
+    def test_import_leaves_the_thread_pool_out(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        code = "import sys, troplin.cli; print('concurrent.futures' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env={"PYTHONPATH": str(src)}, check=True)
+        assert result.stdout.strip() == "False"
 
     def test_console_entry_point(self):
         result = subprocess.run(

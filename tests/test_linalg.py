@@ -17,12 +17,11 @@ from oracles import gcd_vector, kernel_contains, nullity_oracle, rank_oracle, rr
 from troplin import linalg
 from troplin.errors import ZeroVector
 from troplin.linalg import (
-    RING_INTEGERS,
-    RING_RATIONALS,
     Matrix,
     det,
     hermite_normal_form,
     in_integer_span,
+    integer_kernel_basis,
     kernel_basis,
     matrix,
     primitive_part,
@@ -95,20 +94,20 @@ class TestHermiteNormalForm:
 
 class TestKernelBasis:
     def test_symmetric_example(self):
-        assert kernel_basis([[1, -1]], RING_RATIONALS) == [(1, 1)]
+        assert kernel_basis([[1, -1]]) == [(1, 1)]
 
     def test_injective_integer(self):
-        assert kernel_basis([[2]], RING_INTEGERS) == []
+        assert integer_kernel_basis([[2]]) == []
 
     def test_random_4x6_against_row_reduction(self):
         rng = random.Random(20240)
         for _ in range(25):
             rows = [[rng.randint(-5, 5) for _ in range(6)] for _ in range(4)]
-            basis = kernel_basis(rows, RING_RATIONALS)
+            basis = kernel_basis(rows)
             assert len(basis) == 6 - rank_oracle(rows)
             for v in basis:
                 assert kernel_contains(rows, v)
-            ibasis = kernel_basis(rows, RING_INTEGERS)
+            ibasis = integer_kernel_basis(rows)
             assert len(ibasis) == len(basis)
             for v in ibasis:
                 assert kernel_contains(rows, v)
@@ -123,8 +122,8 @@ class TestKernelBasis:
     @settings(max_examples=120, deadline=None)
     def test_exactness_and_independence(self, rows):
         ncols = len(rows[0])
-        for ring in (RING_RATIONALS, RING_INTEGERS):
-            basis = kernel_basis(rows, ring)
+        for kernel in (kernel_basis, integer_kernel_basis):
+            basis = kernel(rows)
             assert len(basis) == nullity_oracle(rows, ncols)
             for v in basis:
                 assert kernel_contains(rows, v)
@@ -143,7 +142,7 @@ class TestKernelBasis:
     def test_integer_kernel_saturation(self, rows, coeffs):
         """Any integer vector of the rational kernel is an integer
         combination of the integer kernel basis."""
-        basis = kernel_basis(rows, RING_INTEGERS)
+        basis = integer_kernel_basis(rows)
         if not basis:
             return
         # Random rational combination, scaled to an integer vector.
@@ -239,7 +238,7 @@ class TestEliminationCore:
     @settings(max_examples=300, deadline=None)
     def test_kernel_is_the_oracle_rref_basis(self, case):
         rows, ncols = case
-        assert kernel_basis(Matrix(rows, ncols), RING_RATIONALS) == kernel_from_oracle(rows, ncols)
+        assert kernel_basis(Matrix(rows, ncols)) == kernel_from_oracle(rows, ncols)
 
     @given(st.integers(0, 4).flatmap(
         lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)

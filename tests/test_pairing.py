@@ -1,6 +1,7 @@
 """Contraction pairing, isotropy verification, and the dimension bound."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,6 +10,7 @@ import pytest
 from conftest import random_t2_horizontal_curve
 
 import troplin as t
+from troplin import embedded, io, pairing
 from troplin.curve import satisfies_vertex_equations
 from troplin.errors import DimensionMismatch, NotADeformation
 from troplin.pairing import end_evaluation, wedge_with_last
@@ -228,3 +230,35 @@ class TestRoitman:
             result = t.roitman_bound_check(space, vectors)
             assert result.isotropic
             assert result.satisfied
+
+
+class TestOnePassPerCall:
+    """A public call validates its curve once and builds its constraints once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = Counter()
+        for name in ("validate_parametrized", "deformation_constraints"):
+            original = getattr(embedded, name)
+
+            def counting(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
+
+            for module in (embedded, pairing):
+                if module.__dict__.get(name) is original:
+                    monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_isotropy_check(self, calls):
+        h = io.parse_parametrized_curve(io.load_json(str(t.data_path("t2-cycle.json"))))
+        dxdy = io.parse_form(io.load_json(str(t.data_path("dxdy.json"))))
+        assert t.isotropy_check(h, dxdy).passed
+        assert calls == {"validate_parametrized": 1, "deformation_constraints": 1}
+
+    def test_phi_contract_with_two_deformations(self, t2_witness, calls):
+        dxdydt = t.TropicalForm(3, 3, (1,))
+        D1 = {v: (1, 0, 0) for v in t2_witness.abstract.vertices}
+        D2 = {v: (0, 1, 0) for v in t2_witness.abstract.vertices}
+        t.phi_contract(t2_witness, dxdydt, [D1, D2])
+        assert calls == {"validate_parametrized": 1, "deformation_constraints": 1}
