@@ -390,9 +390,7 @@ def albanese_class(K: AffineQuotientManifold, z: ZeroCycle) -> tuple[int, Fracti
 
 def chow_equivalent(K: AffineQuotientManifold, z1: ZeroCycle, z2: ZeroCycle) -> bool:
     """Complete decision: equal degree and equal Albanese class."""
-    d1, c1 = albanese_class(K, z1)
-    d2, c2 = albanese_class(K, z2)
-    return d1 == d2 and c1 == c2
+    return albanese_class(K, z1) == albanese_class(K, z2)
 
 
 # ---------------------------------------------------------------------------

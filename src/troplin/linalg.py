@@ -297,9 +297,16 @@ def solve_rational(A: Matrix, b: Sequence) -> tuple | None:
 
 
 def in_integer_span(basis: Sequence[Sequence[int]], w: Sequence[int]) -> bool:
-    """True iff w is an integer combination of the basis vectors."""
-    if not basis:
-        return all(as_int(e) == 0 for e in w)
-    A = matrix([[row[j] for row in basis] for j in range(len(basis[0]))])
-    x = solve_rational(A, w)
-    return x is not None and all(c.denominator == 1 for c in x)
+    """True iff w is an integer combination of the basis vectors: reducing w
+    by integer multiples of the echelon rows of their Hermite normal form,
+    which span the same lattice, leaves zero."""
+    w = [as_fraction(x) for x in w]
+    for row in hermite_normal_form(matrix(basis))[0]:
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None:
+            break
+        q = w[c] / row[c]
+        if q.denominator != 1:
+            return False
+        w = _subtract(w, q, row)
+    return not any(w)

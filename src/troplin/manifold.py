@@ -232,9 +232,7 @@ def extend_deck(g: DeckElement) -> DeckElement:
 def product_with_line(M: AffineQuotientManifold) -> AffineQuotientManifold:
     """M x R: one extra coordinate on which the deck group acts trivially."""
     gens = tuple(extend_deck(g) for g in M.generators)
-    return AffineQuotientManifold(
-        M.dim + 1, gens, M.names, KIND_PRODUCT, klein_params=M.klein_params, base=M
-    )
+    return AffineQuotientManifold(M.dim + 1, gens, M.names, KIND_PRODUCT, base=M)
 
 
 def apply_deck(g: DeckElement, x: Sequence) -> tuple:
@@ -251,10 +249,26 @@ def p_subsets(n: int, p: int) -> list[tuple[int, ...]]:
     return list(combinations(range(n), p))
 
 
-def _minor(A: Sequence[Sequence], rows: Sequence[int], cols: Sequence[int]):
-    if len(rows) == 0:
-        return 1
-    return linalg.det([[A[i][j] for j in cols] for i in rows])
+def _minor_table(rows: Sequence[Sequence], p: int) -> dict:
+    """Every p x p minor of a matrix, keyed by (row subset, column subset).
+
+    Built level by level for q = 1..p: Laplace expansion along the last
+    column writes a q x q minor as a signed sum of q products of an entry
+    with a (q-1) x (q-1) minor, and only the previous level is kept.
+    """
+    ncols = len(rows[0]) if rows else 0
+    level = {((), ()): 1}
+    for q in range(1, p + 1):
+        level = {
+            (T, S): sum(
+                (-1) ** (q - 1 - i) * rows[t][S[-1]] * level[T[:i] + T[i + 1 :], S[:-1]]
+                for i, t in enumerate(T)
+                if rows[t][S[-1]]
+            )
+            for T in combinations(range(len(rows)), q)
+            for S in combinations(range(ncols), q)
+        }
+    return level
 
 
 @dataclass(frozen=True)
@@ -276,32 +290,25 @@ class TropicalForm:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coefficients)
 
+    def gram(self, vectors: Sequence[Sequence]) -> list:
+        """The value on every degree-subset of the vectors, in lexicographic order."""
+        vecs = [vector(v) for v in vectors]
+        if any(len(v) != self.dim for v in vecs):
+            raise ValueError("vector dimension mismatch")
+        minors = _minor_table([[v[i] for v in vecs] for i in range(self.dim)], self.degree)
+        terms = [(c, T) for c, T in zip(self.coefficients, p_subsets(self.dim, self.degree)) if c]
+        return [sum(c * minors[T, S] for c, T in terms) for S in p_subsets(len(vecs), self.degree)]
+
     def evaluate(self, vectors: Sequence[Sequence]) -> Fraction:
         """The value on degree-many tangent vectors."""
         if len(vectors) != self.degree:
             raise ValueError(f"expected {self.degree} vectors")
-        vecs = [vector(v) for v in vectors]
-        if any(len(v) != self.dim for v in vecs):
-            raise ValueError("vector dimension mismatch")
-        cols = [[v[i] for v in vecs] for i in range(self.dim)]
-        total = Fraction(0)
-        for coeff, S in zip(self.coefficients, p_subsets(self.dim, self.degree)):
-            if coeff == 0:
-                continue
-            total += coeff * _minor(cols, list(S), list(range(self.degree)))
-        return total
+        return Fraction(self.gram(vectors)[0])
 
     def pullback(self, A: Sequence[Sequence[int]]) -> "TropicalForm":
         """The form w(A ., ..., A .) for an integer matrix A."""
-        subsets = p_subsets(self.dim, self.degree)
-        coeffs = []
-        for S in subsets:
-            val = 0
-            for c, T in zip(self.coefficients, subsets):
-                if c != 0:
-                    val += c * _minor(A, list(T), list(S))
-            coeffs.append(as_int(val))
-        return TropicalForm(self.dim, self.degree, tuple(coeffs))
+        columns = [[row[j] for row in A] for j in range(self.dim)]
+        return TropicalForm(self.dim, self.degree, tuple(self.gram(columns)))
 
     def is_invariant(self, M: AffineQuotientManifold) -> bool:
         return all(self.pullback(g.matrix()) == self for g in M.generators)
@@ -312,25 +319,11 @@ def invariant_forms(M: AffineQuotientManifold, p: int) -> list[TropicalForm]:
     if not 0 <= p <= M.dim:
         raise ValueError("degree out of range")
     subsets = p_subsets(M.dim, p)
-    k = len(subsets)
-    if not M.generators:
-        rows = []
-    else:
-        rows = []
-        for g in M.generators:
-            A = g.matrix()
-            for si, S in enumerate(subsets):
-                row = []
-                for ti, T in enumerate(subsets):
-                    entry = _minor(A, list(T), list(S))
-                    if ti == si:
-                        entry -= 1
-                    row.append(entry)
-                rows.append(row)
-    if not rows:
-        basis = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
-    else:
-        basis = linalg.integer_kernel_basis(matrix(rows))
+    rows = []
+    for g in M.generators:
+        minors = _minor_table(g.linear, p)
+        rows += [[minors[T, S] - (T == S) for T in subsets] for S in subsets]
+    basis = linalg.integer_kernel_basis(matrix(rows)) if rows else linalg.identity(len(subsets))
     return [TropicalForm(M.dim, p, tuple(b)) for b in basis]
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from math import comb
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -91,12 +91,8 @@ def _base_and_ends(h: ParametrizedTropicalCurve):
         raise WrongAmbient("curve does not live in a product with a line")
     if not is_horizontal_at_infinity(h):
         raise NotHorizontal("curve is not horizontal at infinity")
-    last = h.manifold.dim - 1
-    ends = []
-    for e in h.abstract.infinite_edges():
-        d = h.data(e.id)
-        ends.append((e.id, d.direction[last], d.weight, e.tail))
-    return h.manifold.base, ends
+    rays = [(h.data(e.id), e.tail) for e in h.abstract.infinite_edges()]
+    return h.manifold.base, [(d.direction[-1], d.weight, tail) for d, tail in rays]
 
 
 def end_evaluation(
@@ -107,15 +103,28 @@ def end_evaluation(
     """Signed, weighted sum over the infinite ends of omega_tilde applied
     to the base projections of the deformations at the end's base vertex."""
     _, ends = _base_and_ends(h)
-    return _end_sum(h.manifold.dim - 1, ends, omega_tilde, deformations)
+    if len(deformations) != omega_tilde.degree:
+        raise ValueError(f"expected {omega_tilde.degree} deformations")
+    return Fraction(_end_gram(ends, omega_tilde, deformations)[0])
 
 
-def _end_sum(last: int, ends, omega_tilde: TropicalForm, deformations) -> Fraction:
-    total = Fraction(0)
-    for _, sign, weight, tail in ends:
-        vecs = [vector(D[tail])[:last] for D in deformations]
-        total += sign * weight * omega_tilde.evaluate(vecs)
+def _signed_gram(terms, count: int) -> list:
+    """Sum of sign * form.gram(vectors) over (sign, form, vectors) terms,
+    one value per degree-subset of ``count`` vectors."""
+    total = [0] * count
+    for sign, form, vectors in terms:
+        total = [a + sign * b for a, b in zip(total, form.gram(vectors))]
     return total
+
+
+def _end_gram(ends, form: TropicalForm, deformations) -> list:
+    """The end pairing on every degree-subset of the deformations: one term
+    per end, signed and weighted, on the base parts at the end's tail."""
+    terms = [
+        (sign * weight, form, [vector(D[tail])[:-1] for D in deformations])
+        for sign, weight, tail in ends
+    ]
+    return _signed_gram(terms, comb(len(deformations), form.degree))
 
 
 def isotropy_check(
@@ -150,19 +159,14 @@ def isotropy_check(
         )
         return report
     basis = _deformation_basis(h)
-    last = h.manifold.dim - 1
+    tuples = p_subsets(len(basis), degree)
     for fi, form in enumerate(forms):
-        gram = []
-        ok = True
-        for tup in combinations(range(len(basis)), degree):
-            val = _end_sum(last, ends, form, [basis[i] for i in tup])
-            gram.append(f"D{tup}={val}")
-            if val != 0:
-                ok = False
+        gram = _end_gram(ends, form, basis)
         report.add(
             f"form {fi}: all {degree}-tuples vanish",
-            ok,
-            "; ".join(gram) if gram else "no tuples (deformation space too small)",
+            not any(gram),
+            "; ".join(f"D{tup}={val}" for tup, val in zip(tuples, gram))
+            or "no tuples (deformation space too small)",
         )
     return report
 
@@ -203,16 +207,27 @@ class GradedSpace:
     def degree(self) -> int:
         return self.blocks[0].form.degree if self.blocks else 0
 
+    def gram(self, vectors: Sequence[Sequence]) -> list:
+        """The signed block form on every degree-subset of the vectors."""
+        vecs = [vector(v) for v in vectors]
+        _require_length(vecs, self.total_dimension)
+        terms, offset = [], 0
+        for b in self.blocks:
+            terms.append((b.sign, b.form, [v[offset : offset + b.dimension] for v in vecs]))
+            offset += b.dimension
+        return _signed_gram(terms, comb(len(vecs), self.degree))
+
     def evaluate(self, vectors: Sequence[Sequence]) -> Fraction:
         """The signed block-diagonal form on degree-many total vectors."""
-        vecs = [vector(v) for v in vectors]
-        total = Fraction(0)
-        offset = 0
-        for b in self.blocks:
-            slices = [v[offset : offset + b.dimension] for v in vecs]
-            total += b.sign * b.form.evaluate(slices)
-            offset += b.dimension
-        return total
+        if len(vectors) != self.degree:
+            raise ValueError(f"expected {self.degree} vectors")
+        return Fraction(self.gram(vectors)[0])
+
+
+def _require_length(vectors: Sequence[tuple], total: int) -> None:
+    for w in vectors:
+        if len(w) != total:
+            raise DimensionMismatch(f"vector of length {len(w)} in a {total}-dimensional space")
 
 
 @dataclass(frozen=True)
@@ -227,20 +242,13 @@ def roitman_bound_check(space: GradedSpace, W: Sequence[Sequence]) -> RoitmanRes
     """Decide isotropy of span(W) and compare its dimension to dim V - m."""
     total = space.total_dimension
     rows = [vector(w) for w in W]
-    for w in rows:
-        if len(w) != total:
-            raise DimensionMismatch(f"vector of length {len(w)} in a {total}-dimensional space")
+    _require_length(rows, total)
     if rows:
         R, pivots = linalg.rref(matrix(rows))
         span = [vector(R[i]) for i in range(len(pivots))]
     else:
         span = []
-    p = space.degree
-    isotropic = True
-    for tup in combinations(span, p):
-        if space.evaluate(list(tup)) != 0:
-            isotropic = False
-            break
+    isotropic = not any(space.gram(span))
     bound = total - len(space.blocks)
     dim_w = len(span)
     return RoitmanResult(isotropic, dim_w, bound, isotropic and dim_w <= bound)
@@ -254,18 +262,9 @@ def infinity_restriction(
     deformation basis of h."""
     base, ends = _base_and_ends(h)
     require_invariant(base, omega_tilde)
-    last = h.manifold.dim - 1
-    blocks = []
-    for _, sign, weight, _ in ends:
-        for _ in range(weight):
-            blocks.append(Block(base.dim, sign, omega_tilde))
-    space = GradedSpace(tuple(blocks))
-    vectors = []
-    for D in deformation_basis(h):
-        flat: list = []
-        for _, _, weight, tail in ends:
-            piece = vector(D[tail])[:last]
-            for _ in range(weight):
-                flat.extend(piece)
-        vectors.append(vector(flat))
+    copies = [(sign, tail) for sign, weight, tail in ends for _ in range(weight)]
+    space = GradedSpace(tuple(Block(base.dim, sign, omega_tilde) for sign, _ in copies))
+    vectors = [
+        vector(x for _, tail in copies for x in D[tail][:-1]) for D in deformation_basis(h)
+    ]
     return space, vectors

@@ -90,6 +90,13 @@ def build_t2_witness():
     return t.modification_curve(circle, t.principal_function(4, [(0, 2), (2, -2)]))
 
 
+def build_t3_witness():
+    """A circle modification in T^3 x R along the direction (1, 1, 0)."""
+    T = t.make_torus([(4, 0, 0), (0, 4, 0), (0, 0, 4)])
+    circle = t.circle_embedding(T, (0, 0, 1), (1, 1, 0), 4, translation_deck((-4, -4, 0)))
+    return t.modification_curve(circle, t.principal_function(4, [(0, 2), (1, -1), (3, -1)]))
+
+
 def build_tripod():
     return t.parametrized_curve(
         t.make_euclidean(2),
@@ -124,6 +131,11 @@ def t2_cycle():
 @pytest.fixture
 def t2_witness():
     return build_t2_witness()
+
+
+@pytest.fixture
+def t3_witness():
+    return build_t3_witness()
 
 
 @pytest.fixture

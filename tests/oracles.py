@@ -2,14 +2,16 @@
 
 Everything here is deliberately written from scratch on top of plain
 Python Fractions so that a library bug cannot hide behind shared code:
-row reduction for ranks and nullities, minor-based deformation
-constraints, brute-force orbit enumeration on the Klein deck group, and
-the all-pairs, elimination-based euclidean embeddedness check.
+row reduction for ranks and nullities, Leibniz determinants and the
+tuple-by-tuple evaluation of forms, lattice membership by determinantal
+divisors, minor-based deformation constraints, brute-force orbit
+enumeration on the Klein deck group, and the all-pairs, elimination-based
+euclidean embeddedness check.
 """
 
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from itertools import combinations, permutations
+from math import comb, gcd, prod
 
 INF = float("inf")
 
@@ -65,6 +67,76 @@ def gcd_vector(v):
     for x in v:
         g = gcd(g, abs(int(x)))
     return g
+
+
+def leibniz_det(rows):
+    """Determinant as the signed sum over permutations (1 for 0 x 0)."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod((Fraction(rows[i][perm[i]]) for i in range(n)),
+                                           start=Fraction(1))
+    return total
+
+
+def form_value_oracle(dim, degree, coefficients, vectors):
+    """A p-covector on exactly p vectors: sum over p-subsets T of the
+    coordinates of coefficient_T * det(coordinates T of the vectors)."""
+    assert len(vectors) == degree
+    return sum(
+        (c * leibniz_det([[v[i] for v in vectors] for i in T])
+         for c, T in zip(coefficients, combinations(range(dim), degree))),
+        Fraction(0),
+    )
+
+
+def gram_oracle(dim, degree, coefficients, vectors):
+    """The form on every p-tuple of the vectors, one tuple at a time."""
+    return [form_value_oracle(dim, degree, coefficients, list(tup))
+            for tup in combinations(vectors, degree)]
+
+
+def pullback_oracle(dim, degree, coefficients, A):
+    """Coefficients of w(A ., ..., A .): w on the columns of A indexed by S."""
+    columns = [[A[i][j] for i in range(dim)] for j in range(dim)]
+    return [form_value_oracle(dim, degree, coefficients, [columns[j] for j in S])
+            for S in combinations(range(dim), degree)]
+
+
+def fixed_form_rank_oracle(dim, degree, linear_parts):
+    """Rank of the p-covectors fixed by every linear part, by row reduction."""
+    k = comb(dim, degree)
+    rows = []
+    for A in linear_parts:
+        # pullback of the t-th unit covector, read at the s-th coefficient
+        images = [pullback_oracle(dim, degree, [int(u == t) for u in range(k)], A)
+                  for t in range(k)]
+        rows += [[images[t][s] - (t == s) for t in range(k)] for s in range(k)]
+    return nullity_oracle(rows, k)
+
+
+def _determinantal_divisor(rows, r):
+    """gcd of the r x r minors of an integer matrix."""
+    ncols = len(rows[0]) if rows else 0
+    g = 0
+    for R in combinations(range(len(rows)), r):
+        for C in combinations(range(ncols), r):
+            g = gcd(g, int(leibniz_det([[rows[i][j] for j in C] for i in R])))
+    return g
+
+
+def integer_span_oracle(basis, w):
+    """w is an integer combination of the basis rows iff adding w keeps the
+    rank r and the gcd of the r x r minors (the index of the lattice in
+    its saturation)."""
+    r = rank_oracle(basis) if basis else 0
+    extended = [list(b) for b in basis] + [list(w)]
+    if rank_oracle(extended) != r:
+        return False
+    if r == 0:
+        return True
+    return _determinantal_divisor(extended, r) == _determinantal_divisor(basis, r)
 
 
 def deformation_nullity_minor_oracle(h):

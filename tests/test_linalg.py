@@ -4,15 +4,22 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import permutations
-from math import gcd, prod
+from math import gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gcd_vector, kernel_contains, nullity_oracle, rank_oracle, rref_oracle
+from oracles import (
+    gcd_vector,
+    integer_span_oracle,
+    kernel_contains,
+    leibniz_det,
+    nullity_oracle,
+    rank_oracle,
+    rref_oracle,
+)
 
 from troplin import linalg
 from troplin.errors import ZeroVector
@@ -158,6 +165,29 @@ class TestKernelBasis:
         assert in_integer_span(basis, w)
 
 
+class TestIntegerSpan:
+    def test_dependent_generators(self):
+        assert in_integer_span([(2,), (3,)], (1,))  # 1 = 3 - 2
+        assert not in_integer_span([(2,), (4,)], (1,))
+        assert in_integer_span([(2, 0), (0, 2), (1, 1)], (1, -1))
+        assert not in_integer_span([(2, 0), (0, 2), (1, 1)], (1, 0))
+        assert in_integer_span([], (0, 0)) and not in_integer_span([], (0, 1))
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=4),
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+        st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+    )), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_determinantal_divisor_oracle(self, case, combine):
+        basis, w, coeffs = case
+        if combine:  # a vector of the lattice, which a dependent basis hides from solving
+            w = [sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(len(w))]
+        assert in_integer_span(basis, w) == integer_span_oracle(basis, w)
+        if combine:
+            assert in_integer_span(basis, w)
+
+
 class TestPrimitivePart:
     def test_examples(self):
         assert primitive_part((2, 4)) == ((1, 2), 2)
@@ -210,16 +240,6 @@ def kernel_from_oracle(rows, ncols):
             v[p] = -R[r][f]
         basis.append(tuple(v))
     return basis
-
-
-def leibniz_det(rows):
-    n = len(rows)
-    total = Fraction(0)
-    for perm in permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        total += (-1) ** inversions * prod((Fraction(rows[i][perm[i]]) for i in range(n)),
-                                           start=Fraction(1))
-    return total
 
 
 class TestEliminationCore:

@@ -2,11 +2,14 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from oracles import fixed_form_rank_oracle, form_value_oracle, gram_oracle, pullback_oracle
 
 import troplin as t
 from troplin.errors import DegenerateLattice, NonPositiveParameter, UnsupportedManifoldKind
@@ -114,6 +117,81 @@ class TestInvariantForms:
             t.DeckElement(((2, 0), (0, 1)), (0, 0))
         with pytest.raises(ValueError):
             t.DeckElement(((1, 0),), (0, 0))
+
+
+exact_entries = st.one_of(
+    st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=3)
+)
+
+
+@st.composite
+def forms_and_vectors(draw):
+    """A p-form on Z^n (n <= 5, p <= 4) and up to five int/Fraction vectors."""
+    dim = draw(st.integers(0, 5))
+    degree = draw(st.integers(0, min(4, dim)))
+    size = comb(dim, degree)
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+    vectors = draw(st.lists(st.lists(exact_entries, min_size=dim, max_size=dim), max_size=5))
+    return t.TropicalForm(dim, degree, tuple(coeffs)), vectors
+
+
+@st.composite
+def unimodular_matrices(draw, n):
+    """Products of elementary row moves: adds, negations and swaps."""
+    A = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 6)) if n else 0):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        move = draw(st.sampled_from(["add", "negate", "swap"]))
+        if move == "add" and i != j:
+            k = draw(st.integers(-2, 2))
+            A[i] = [a + k * b for a, b in zip(A[i], A[j])]
+        elif move == "negate":
+            A[i] = [-a for a in A[i]]
+        elif move == "swap":
+            A[i], A[j] = A[j], A[i]
+    return A
+
+
+class TestFormsAgainstTupleOracle:
+    """gram, evaluate, pullback and invariant_forms against the tuple-by-tuple
+    evaluation with Leibniz determinants in tests/oracles.py."""
+
+    @given(forms_and_vectors())
+    @settings(max_examples=300, deadline=None)
+    def test_gram_and_evaluate(self, case):
+        form, vectors = case
+        n, p, coeffs = form.dim, form.degree, form.coefficients
+        assert form.gram(vectors) == gram_oracle(n, p, coeffs, vectors)
+        for tup in combinations(vectors, p):
+            assert form.evaluate(list(tup)) == form_value_oracle(n, p, coeffs, list(tup))
+
+    @given(forms_and_vectors(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_pullback(self, case, data):
+        form, _ = case
+        n = form.dim
+        row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+        A = data.draw(st.lists(row, min_size=n, max_size=n))
+        expected = pullback_oracle(n, form.degree, form.coefficients, A)
+        assert list(form.pullback(A).coefficients) == expected
+
+    @given(st.integers(0, 5).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, min(4, n)), st.lists(unimodular_matrices(n), max_size=3)
+    )))
+    @settings(max_examples=200, deadline=None)
+    def test_invariant_forms(self, case):
+        n, p, linear_parts = case
+        gens = tuple(t.DeckElement(tuple(map(tuple, A)), (0,) * n) for A in linear_parts)
+        M = t.AffineQuotientManifold(n, gens, tuple(f"g{i}" for i in range(len(gens))), "general")
+        basis = t.invariant_forms(M, p)
+        assert len(basis) == fixed_form_rank_oracle(n, p, linear_parts)
+        for form in basis:
+            for A in linear_parts:
+                assert pullback_oracle(n, p, form.coefficients, A) == list(form.coefficients)
+
+    def test_wrong_vector_length(self):
+        with pytest.raises(ValueError):
+            t.TropicalForm(2, 1, (1, 0)).gram([(1, 0, 0)])
 
 
 class TestKindInvariants:

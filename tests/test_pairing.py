@@ -6,8 +6,11 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_t2_horizontal_curve
+from conftest import build_t3_witness, random_t2_horizontal_curve
+from oracles import form_value_oracle
 
 import troplin as t
 from troplin import embedded, io, pairing
@@ -17,6 +20,8 @@ from troplin.pairing import end_evaluation, wedge_with_last
 
 
 AREA = t.TropicalForm(2, 2, (1,))
+VOLUME = t.TropicalForm(3, 3, (1,))
+T3_WITNESS = build_t3_witness()  # module level: Hypothesis tests take no function fixtures
 
 
 class TestPhiContract:
@@ -188,6 +193,44 @@ class TestIsotropy:
             assert report.passed
 
 
+class TestT3Modification:
+    """A circle modification in T^3 x R: degree-2 and degree-3 forms on the base."""
+
+    def test_isotropy_degree_two_three_forms(self, t3_witness):
+        report = t.isotropy_check(t3_witness, degree=2)
+        assert report.passed
+        assert [c.status for c in report.checks] == ["pass"] * 3
+        assert all(c.detail.count("=0") == 10 for c in report.checks)  # C(5, 2) pairs
+
+    def test_isotropy_degree_three_one_form(self, t3_witness):
+        report = t.isotropy_check(t3_witness, degree=3)
+        assert report.passed
+        assert [c.status for c in report.checks] == ["pass"]
+        assert report.checks[0].detail.count("=0") == 10  # C(5, 3) triples
+
+    def test_roitman_bound_with_the_volume_form(self, t3_witness):
+        space, vectors = t.infinity_restriction(t3_witness, VOLUME)
+        assert len(space.blocks) == 4 and len(vectors) == 5
+        result = t.roitman_bound_check(space, vectors)
+        assert result.isotropic and result.satisfied
+
+    @given(st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=9,
+                    max_size=9))
+    @settings(max_examples=100, deadline=None)
+    def test_end_evaluation_matches_tuple_oracle(self, entries):
+        """On arbitrary vertex vectors (not deformations) the end pairing is
+        not zero; it must equal the sum over ends of the oracle's value."""
+        h = T3_WITNESS
+        vertices = sorted(h.abstract.vertices)
+        assignments = [dict(zip(vertices, entries[3 * k : 3 * k + 3])) for k in range(3)]
+        expected = 0
+        for e in h.abstract.infinite_edges():
+            d = h.data(e.id)
+            base = [D[e.tail][:3] for D in assignments]
+            expected += d.direction[-1] * d.weight * form_value_oracle(3, 3, (1,), base)
+        assert end_evaluation(h, VOLUME, assignments) == expected
+
+
 class TestRoitman:
     def build_four_block_space(self):
         return t.GradedSpace(tuple(t.Block(2, s, AREA) for s in (1, 1, -1, -1)))
@@ -214,6 +257,28 @@ class TestRoitman:
         space = self.build_four_block_space()
         with pytest.raises(DimensionMismatch):
             t.roitman_bound_check(space, [(1, 0)])
+
+    def test_evaluate_checks_vector_lengths(self):
+        space = t.GradedSpace((t.Block(2, 1, AREA),))
+        assert space.evaluate([(1, 0), (0, 1)]) == 1
+        with pytest.raises(DimensionMismatch):
+            space.evaluate([(1, 0, 5), (0, 1, 7)])
+
+    @given(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=3),
+           st.lists(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                             min_size=6, max_size=6), max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_block_gram_matches_tuple_oracle(self, signs, vectors):
+        space = t.GradedSpace(tuple(t.Block(2, s, AREA) for s in signs))
+        vectors = [v[: 2 * len(signs)] for v in vectors]
+        expected = [
+            sum(s * form_value_oracle(2, 2, (1,), [v[2 * b : 2 * b + 2] for v in pair])
+                for b, s in enumerate(signs))
+            for pair in combinations(vectors, 2)
+        ]
+        assert space.gram(vectors) == expected
+        for pair, value in zip(combinations(vectors, 2), expected):
+            assert space.evaluate(list(pair)) == value
 
     def test_infinity_restriction_of_witness(self, t2_witness):
         space, vectors = t.infinity_restriction(t2_witness, AREA)
