@@ -396,20 +396,29 @@ def _satisfies(h: ParametrizedTropicalCurve, M, assignment: Mapping[str, Sequenc
 # Horizontality and evaluation at infinity
 
 
-def _require_product(h: ParametrizedTropicalCurve) -> AffineQuotientManifold:
-    if h.manifold.kind != KIND_PRODUCT or h.manifold.base is None:
+def horizontal_ends(
+    h: ParametrizedTropicalCurve,
+) -> tuple[AffineQuotientManifold, list[tuple[int, int, str]]]:
+    """The base B of a curve in B x R that is horizontal at infinity, and
+    every semi-infinite edge as (sign, weight, tail): sign is +1 for a ray
+    going up the last coordinate and -1 for one going down."""
+    if h.manifold.kind != KIND_PRODUCT:
         raise WrongAmbient("curve does not live in a product with a line")
-    return h.manifold.base
+    ends = []
+    for e in h.abstract.infinite_edges():
+        d = h.data(e.id)
+        if any(d.direction[:-1]) or d.direction[-1] not in (1, -1):
+            raise NotHorizontal("curve has a non-vertical semi-infinite edge")
+        ends.append((d.direction[-1], d.weight, e.tail))
+    return h.manifold.base, ends
 
 
 def is_horizontal_at_infinity(h: ParametrizedTropicalCurve) -> bool:
     """True iff every semi-infinite edge runs along the last coordinate."""
-    base = _require_product(h)
-    last = h.manifold.dim - 1
-    for e in h.abstract.infinite_edges():
-        d = h.data(e.id).direction
-        if any(d[i] != 0 for i in range(last)) or d[last] not in (1, -1):
-            return False
+    try:
+        horizontal_ends(h)
+    except NotHorizontal:
+        return False
     return True
 
 
@@ -459,19 +468,11 @@ def zero_cycle(M: AffineQuotientManifold, items: Iterable[tuple[Sequence, int]])
 def evaluate_at_infinity(h: ParametrizedTropicalCurve) -> tuple[ZeroCycle, ZeroCycle]:
     """Base points of the rays going down (minus) and up (plus), with
     multiplicity equal to the edge weight."""
-    base = _require_product(h)
-    if not is_horizontal_at_infinity(h):
-        raise NotHorizontal("curve has a non-vertical semi-infinite edge")
-    last = h.manifold.dim - 1
-    minus, plus = [], []
-    for e in h.abstract.infinite_edges():
-        d = h.data(e.id)
-        point = h.position(e.tail)[:last]
-        if d.direction[last] == -1:
-            minus.append((point, d.weight))
-        else:
-            plus.append((point, d.weight))
-    return zero_cycle(base, minus), zero_cycle(base, plus)
+    base, ends = horizontal_ends(h)
+    return tuple(
+        zero_cycle(base, [(h.position(tail)[:-1], w) for s, w, tail in ends if s == sign])
+        for sign in (-1, 1)
+    )
 
 
 def boundary_zero_cycle(h: ParametrizedTropicalCurve) -> ZeroCycle:

@@ -42,7 +42,7 @@ class NotAForm(TroplinError):
     """Edge values do not satisfy the vertex equations."""
 
 
-class WrongAmbient(TroplinError):
+class WrongAmbient(InputError):
     """The ambient manifold does not have the required product structure."""
 
 

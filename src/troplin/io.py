@@ -17,12 +17,7 @@ import json
 from fractions import Fraction
 
 from .curve import INF, AbstractTropicalCurve, Edge
-from .embedded import (
-    EmbeddedEdgeData,
-    ParametrizedTropicalCurve,
-    ZeroCycle,
-    zero_cycle,
-)
+from .embedded import ParametrizedTropicalCurve, ZeroCycle, parametrized_curve, zero_cycle
 from .errors import InputError
 from .linalg import as_fraction, as_int, vector
 from .manifold import (
@@ -228,21 +223,16 @@ def parse_parametrized_curve(doc: dict) -> ParametrizedTropicalCurve:
     positions = {
         str(v): parse_vector(pos) for v, pos in _member(doc, "positions", what, dict).items()
     }
-    data = {}
+    edges = {}
     for entry in _objects(_member(doc, "edges+", what, list), "an 'edges+' entry"):
         deck = entry.get("deck")
-        data[str(entry["id"])] = EmbeddedEdgeData(
-            parse_vector(_member(entry, "direction", "an 'edges+' entry")),
-            _int(entry.get("weight", 1)),
-            parse_length(entry["image_length"]),
-            parse_deck(deck, manifold) if deck is not None
-            else DeckElement(
-                tuple(tuple(1 if i == j else 0 for j in range(manifold.dim))
-                      for i in range(manifold.dim)),
-                tuple([0] * manifold.dim),
-            ),
-        )
-    return ParametrizedTropicalCurve(manifold, abstract, positions, data)
+        edges[str(entry["id"])] = {
+            "direction": parse_vector(_member(entry, "direction", "an 'edges+' entry")),
+            "weight": _int(entry.get("weight", 1)),
+            "image_length": parse_length(entry["image_length"]),
+            "deck": parse_deck(deck, manifold) if deck is not None else None,
+        }
+    return parametrized_curve(manifold, abstract, positions, edges)
 
 
 def is_parametrized_doc(doc) -> bool:

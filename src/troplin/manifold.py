@@ -87,10 +87,7 @@ class DeckElement:
         return DeckElement(Ainv, t)
 
     def is_identity(self) -> bool:
-        n = self.dim
-        return all(
-            self.linear[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n)
-        ) and all(t == 0 for t in self.translation)
+        return self.linear == _identity(self.dim) and not any(self.translation)
 
     def power(self, k: int) -> "DeckElement":
         """self composed with itself k times, by repeated squaring."""
@@ -106,19 +103,17 @@ class DeckElement:
         return result
 
 
+def _identity(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def identity_deck(n: int) -> DeckElement:
-    return DeckElement(
-        tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
-        tuple([0] * n),
-    )
+    return DeckElement(_identity(n), (0,) * n)
 
 
 def translation_deck(t: Sequence) -> DeckElement:
-    n = len(list(t))
-    return DeckElement(
-        tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
-        vector(t),
-    )
+    t = vector(t)
+    return DeckElement(_identity(len(t)), t)
 
 
 @dataclass(frozen=True)
@@ -139,10 +134,7 @@ class AffineQuotientManifold:
         if self.kind == KIND_EUCLIDEAN and self.generators:
             raise ValueError("euclidean manifolds have no deck generators")
         if self.kind == KIND_TORUS:
-            ident = tuple(
-                tuple(1 if i == j else 0 for j in range(self.dim)) for i in range(self.dim)
-            )
-            if any(g.linear != ident for g in self.generators):
+            if any(g.linear != _identity(self.dim) for g in self.generators):
                 raise ValueError("torus generators must be pure translations")
             if len(self.generators) != self.dim or linalg.rank(
                 matrix([g.translation for g in self.generators])
@@ -290,14 +282,24 @@ class TropicalForm:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coefficients)
 
-    def gram(self, vectors: Sequence[Sequence]) -> list:
-        """The value on every degree-subset of the vectors, in lexicographic order."""
+    def minors(self, vectors: Sequence[Sequence]) -> dict:
+        """The degree x degree minors of the matrix with the vectors as
+        columns.  The table does not depend on the coefficients: every form
+        of this dimension and degree reads its Gram from it (``contract``)."""
         vecs = [vector(v) for v in vectors]
         if any(len(v) != self.dim for v in vecs):
             raise ValueError("vector dimension mismatch")
-        minors = _minor_table([[v[i] for v in vecs] for i in range(self.dim)], self.degree)
+        return _minor_table([[v[i] for v in vecs] for i in range(self.dim)], self.degree)
+
+    def contract(self, minors: dict, count: int) -> list:
+        """The value on every degree-subset of ``count`` vectors, in
+        lexicographic order, read from their table of ``minors``."""
         terms = [(c, T) for c, T in zip(self.coefficients, p_subsets(self.dim, self.degree)) if c]
-        return [sum(c * minors[T, S] for c, T in terms) for S in p_subsets(len(vecs), self.degree)]
+        return [sum(c * minors[T, S] for c, T in terms) for S in p_subsets(count, self.degree)]
+
+    def gram(self, vectors: Sequence[Sequence]) -> list:
+        """The value on every degree-subset of the vectors, in lexicographic order."""
+        return self.contract(self.minors(vectors), len(vectors))
 
     def evaluate(self, vectors: Sequence[Sequence]) -> Fraction:
         """The value on degree-many tangent vectors."""
@@ -397,20 +399,23 @@ def reduce_point(M: AffineQuotientManifold, x: Sequence) -> tuple:
 def contains_deck(M: AffineQuotientManifold, g: DeckElement) -> bool | None:
     """Whether g belongs to the deck group; None if undecidable (general kind,
     other than the identity)."""
-    if g.dim != M.dim:
-        return False
-    if M.kind == KIND_EUCLIDEAN:
-        return g.is_identity()
+    return g.dim == M.dim and _contains(M, g.linear, g.translation)
+
+
+def _contains(M: AffineQuotientManifold, A: tuple, t: tuple) -> bool | None:
+    """``contains_deck`` on the linear part and translation of a valid deck
+    element of M's dimension, without building one."""
+    n = M.dim
+    identity = _identity(n)
     if M.kind == KIND_TORUS:
-        if g.linear != identity_deck(M.dim).linear:
+        if A != identity:
             return False
-        V = matrix([[gen.translation[i] for gen in M.generators] for i in range(M.dim)])
-        c = linalg.solve_rational(V, g.translation)
+        V = matrix([[gen.translation[i] for gen in M.generators] for i in range(n)])
+        c = linalg.solve_rational(V, t)
         return c is not None and all(as_fraction(ci).denominator == 1 for ci in c)
     if M.kind == KIND_KLEIN:
         x0, y0 = M.klein_params
-        A = g.linear
-        tx, ty = as_fraction(g.translation[0]), as_fraction(g.translation[1])
+        tx, ty = as_fraction(t[0]), as_fraction(t[1])
         if (tx / x0).denominator != 1 or (ty / y0).denominator != 1:
             return False
         k = int(tx / x0)
@@ -420,19 +425,13 @@ def contains_deck(M: AffineQuotientManifold, g: DeckElement) -> bool | None:
             return k % 2 == 1
         return False
     if M.kind == KIND_PRODUCT:
-        n = M.dim
-        if g.translation[-1] != 0:
+        if t[-1] != 0 or A[-1] != identity[-1] or any(row[-1] for row in A[:-1]):
             return False
-        for j in range(n - 1):
-            if g.linear[n - 1][j] != 0 or g.linear[j][n - 1] != 0:
-                return False
-        if g.linear[n - 1][n - 1] != 1:
-            return False
-        head = DeckElement(
-            tuple(tuple(row[:-1]) for row in g.linear[:-1]), g.translation[:-1]
-        )
-        return contains_deck(M.base, head) if M.base is not None else None
-    return True if g.is_identity() else None
+        return _contains(M.base, tuple(row[:-1] for row in A[:-1]), t[:-1])
+    is_identity = A == identity and not any(t)
+    if M.kind == KIND_EUCLIDEAN or is_identity:
+        return is_identity
+    return None
 
 
 def require_invariant(M: AffineQuotientManifold, form: TropicalForm) -> None:

@@ -24,18 +24,12 @@ from .embedded import (
     _satisfies,
     deformation_basis,
     deformation_constraints,
-    is_horizontal_at_infinity,
+    horizontal_ends,
     require_valid_parametrized,
 )
-from .errors import DimensionMismatch, NotADeformation, NotHorizontal, WrongAmbient
+from .errors import DimensionMismatch, NotADeformation
 from .linalg import matrix, vector
-from .manifold import (
-    KIND_PRODUCT,
-    TropicalForm,
-    invariant_forms,
-    p_subsets,
-    require_invariant,
-)
+from .manifold import TropicalForm, invariant_forms, p_subsets, require_invariant
 from .report import Report
 
 
@@ -86,15 +80,6 @@ def phi_contract(
     return form
 
 
-def _base_and_ends(h: ParametrizedTropicalCurve):
-    if h.manifold.kind != KIND_PRODUCT or h.manifold.base is None:
-        raise WrongAmbient("curve does not live in a product with a line")
-    if not is_horizontal_at_infinity(h):
-        raise NotHorizontal("curve is not horizontal at infinity")
-    rays = [(h.data(e.id), e.tail) for e in h.abstract.infinite_edges()]
-    return h.manifold.base, [(d.direction[-1], d.weight, tail) for d, tail in rays]
-
-
 def end_evaluation(
     h: ParametrizedTropicalCurve,
     omega_tilde: TropicalForm,
@@ -102,29 +87,30 @@ def end_evaluation(
 ) -> Fraction:
     """Signed, weighted sum over the infinite ends of omega_tilde applied
     to the base projections of the deformations at the end's base vertex."""
-    _, ends = _base_and_ends(h)
+    _, ends = horizontal_ends(h)
     if len(deformations) != omega_tilde.degree:
         raise ValueError(f"expected {omega_tilde.degree} deformations")
-    return Fraction(_end_gram(ends, omega_tilde, deformations)[0])
+    terms = [(s, omega_tilde, m) for s, m in _end_minors(ends, omega_tilde, deformations)]
+    return Fraction(_signed_gram(terms, len(deformations), omega_tilde.degree)[0])
 
 
-def _signed_gram(terms, count: int) -> list:
-    """Sum of sign * form.gram(vectors) over (sign, form, vectors) terms,
-    one value per degree-subset of ``count`` vectors."""
-    total = [0] * count
-    for sign, form, vectors in terms:
-        total = [a + sign * b for a, b in zip(total, form.gram(vectors))]
+def _signed_gram(terms, count: int, degree: int) -> list:
+    """Sum of sign * form.contract(minors, count) over (sign, form, minors)
+    terms: one value per degree-subset of the ``count`` vectors."""
+    total = [0] * comb(count, degree)
+    for sign, form, minors in terms:
+        total = [a + sign * b for a, b in zip(total, form.contract(minors, count))]
     return total
 
 
-def _end_gram(ends, form: TropicalForm, deformations) -> list:
-    """The end pairing on every degree-subset of the deformations: one term
-    per end, signed and weighted, on the base parts at the end's tail."""
-    terms = [
-        (sign * weight, form, [vector(D[tail])[:-1] for D in deformations])
+def _end_minors(ends, form: TropicalForm, deformations) -> list:
+    """(sign * weight, minor table) per end, on the base parts of the
+    deformations at the end's tail; every form of ``form``'s dimension and
+    degree reads the end pairing from these tables."""
+    return [
+        (sign * weight, form.minors([vector(D[tail])[:-1] for D in deformations]))
         for sign, weight, tail in ends
     ]
-    return _signed_gram(terms, comb(len(deformations), form.degree))
 
 
 def isotropy_check(
@@ -141,7 +127,7 @@ def isotropy_check(
     zero.
     """
     require_valid_parametrized(h)
-    base, ends = _base_and_ends(h)
+    base, ends = horizontal_ends(h)
     if omega_tilde is not None:
         if omega_tilde.degree < 2:
             raise DimensionMismatch("isotropy needs a form of degree at least 2")
@@ -160,8 +146,9 @@ def isotropy_check(
         return report
     basis = _deformation_basis(h)
     tuples = p_subsets(len(basis), degree)
+    end_minors = _end_minors(ends, forms[0], basis)
     for fi, form in enumerate(forms):
-        gram = _end_gram(ends, form, basis)
+        gram = _signed_gram([(s, form, m) for s, m in end_minors], len(basis), degree)
         report.add(
             f"form {fi}: all {degree}-tuples vanish",
             not any(gram),
@@ -208,14 +195,19 @@ class GradedSpace:
         return self.blocks[0].form.degree if self.blocks else 0
 
     def gram(self, vectors: Sequence[Sequence]) -> list:
-        """The signed block form on every degree-subset of the vectors."""
+        """The signed block form on every degree-subset of the vectors.
+        Blocks on which the vectors restrict alike, such as the copies of a
+        weighted end, share one minor table."""
         vecs = [vector(v) for v in vectors]
         _require_length(vecs, self.total_dimension)
-        terms, offset = [], 0
+        tables, terms, offset = {}, [], 0
         for b in self.blocks:
-            terms.append((b.sign, b.form, [v[offset : offset + b.dimension] for v in vecs]))
+            part = tuple(v[offset : offset + b.dimension] for v in vecs)
+            if part not in tables:
+                tables[part] = b.form.minors(part)
+            terms.append((b.sign, b.form, tables[part]))
             offset += b.dimension
-        return _signed_gram(terms, comb(len(vecs), self.degree))
+        return _signed_gram(terms, len(vecs), self.degree)
 
     def evaluate(self, vectors: Sequence[Sequence]) -> Fraction:
         """The signed block-diagonal form on degree-many total vectors."""
@@ -260,7 +252,7 @@ def infinity_restriction(
     """The graded space of end copies (one block per unit of weight, signed
     by the end's direction) together with the end restrictions of the
     deformation basis of h."""
-    base, ends = _base_and_ends(h)
+    base, ends = horizontal_ends(h)
     require_invariant(base, omega_tilde)
     copies = [(sign, tail) for sign, weight, tail in ends for _ in range(weight)]
     space = GradedSpace(tuple(Block(base.dim, sign, omega_tilde) for sign, _ in copies))

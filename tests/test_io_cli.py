@@ -382,6 +382,10 @@ class TestMalformedInputExits1:
         product = _write_doc(tmp_path, {"kind": "product_with_line", "dim": 3, "generators": []})
         self.assert_usage_error(capsys, "forms", "-p", "1", product)
 
+    @pytest.mark.parametrize("command", ["ev", "isotropy"])
+    def test_curve_outside_a_product_with_a_line(self, capsys, command):
+        self.assert_usage_error(capsys, command, _data("fig1a.json"))
+
 
 BUNDLED = ["fig1a.json", "t2-cycle.json", "klein.json", "zp.json", "ziotap.json", "dxdy.json"]
 WRONG_TYPED_KEYS = ("kind", "edges", "vertices", "generators")

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_t3_witness, random_t2_horizontal_curve
+from conftest import build_t2_witness, build_t3_witness, random_t2_horizontal_curve
 from oracles import form_value_oracle
 
 import troplin as t
-from troplin import embedded, io, pairing
+from troplin import embedded, io, manifold, pairing
 from troplin.curve import satisfies_vertex_equations
-from troplin.errors import DimensionMismatch, NotADeformation
+from troplin.errors import DimensionMismatch, NotADeformation, NotHorizontal, WrongAmbient
 from troplin.pairing import end_evaluation, wedge_with_last
 
 
@@ -327,3 +327,83 @@ class TestOnePassPerCall:
         D2 = {v: (0, 1, 0) for v in t2_witness.abstract.vertices}
         t.phi_contract(t2_witness, dxdydt, [D1, D2])
         assert calls == {"validate_parametrized": 1, "deformation_constraints": 1}
+
+
+class TestOneMinorTablePerList:
+    """The end pairing and the block form build one minor table per distinct
+    list of vectors, and every form of the degree reads its Gram from it."""
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        built = []
+        original = manifold._minor_table
+
+        def counting(rows, p):
+            built.append(p)
+            return original(rows, p)
+
+        monkeypatch.setattr(manifold, "_minor_table", counting)
+        return built
+
+    def test_isotropy_builds_each_end_table_once_for_all_forms(self, tables):
+        h = build_t3_witness()
+        tables.clear()
+        report = t.isotropy_check(h, degree=2)
+        assert report.passed and len(report.checks) == 3
+        # one table per generator of T^3 for invariant_forms, one per end
+        assert len(tables) == 3 + 3
+
+    def test_roitman_builds_one_table_for_identical_blocks(self, tables):
+        space, vectors = t.infinity_restriction(build_t2_witness(), AREA)
+        tables.clear()
+        assert t.roitman_bound_check(space, vectors).satisfied
+        # two weight-2 ends give four blocks; the span restricts to the same
+        # vectors at both ends, so one table serves all four
+        assert len(space.blocks) == 4 and len(tables) == 1
+
+    def test_roitman_builds_one_table_per_distinct_end(self, tables):
+        space, vectors = t.infinity_restriction(
+            build_t3_witness(), t.TropicalForm(3, 2, (1, 0, 0))
+        )
+        tables.clear()
+        assert t.roitman_bound_check(space, vectors).satisfied
+        # ends of weight 2, 1 and 1 with different restrictions of the span
+        assert len(space.blocks) == 4 and len(tables) == 3
+
+
+class TestEndsReadInOnePlace:
+    """Every reader of a curve's ends refuses a curve outside a product with
+    a line and a curve with a tilted ray, with the same errors.  That
+    ``is_horizontal_at_infinity`` answers False for the tilted ray is
+    tested in ``test_embedded.py``."""
+
+    READERS = {
+        "evaluate_at_infinity": t.evaluate_at_infinity,
+        "boundary_zero_cycle": t.boundary_zero_cycle,
+        "isotropy_check": t.isotropy_check,
+        "infinity_restriction": lambda h: t.infinity_restriction(h, AREA),
+        "end_evaluation": lambda h: end_evaluation(h, AREA, [{}, {}]),
+    }
+    WITH_PREDICATE = {**READERS, "is_horizontal_at_infinity": t.is_horizontal_at_infinity}
+
+    @staticmethod
+    def tilted(torus4):
+        return t.parametrized_curve(
+            t.product_with_line(torus4),
+            t.abstract_curve("v", [("up", "v", None, t.INF), ("dn", "v", None, t.INF)]),
+            {"v": (0, 0, 0)},
+            {
+                "up": dict(direction=(1, 0, 1), image_length=t.INF),
+                "dn": dict(direction=(-1, 0, -1), image_length=t.INF),
+            },
+        )
+
+    @pytest.mark.parametrize("reader", WITH_PREDICATE.values(), ids=WITH_PREDICATE.keys())
+    def test_wrong_ambient(self, fig1a, reader):
+        with pytest.raises(WrongAmbient):
+            reader(fig1a)
+
+    @pytest.mark.parametrize("reader", READERS.values(), ids=READERS.keys())
+    def test_not_horizontal(self, torus4, reader):
+        with pytest.raises(NotHorizontal):
+            reader(self.tilted(torus4))
