@@ -263,6 +263,16 @@ def _minor_table(rows: Sequence[Sequence], p: int) -> dict:
     return level
 
 
+def column_minors(vectors: Sequence[Sequence], dim: int, degree: int) -> dict:
+    """The degree x degree minors of the dim-row matrix with the vectors as
+    columns.  Every form of this dimension and degree reads its Gram on the
+    vectors from this one table (``TropicalForm.contract``)."""
+    vecs = [vector(v) for v in vectors]
+    if any(len(v) != dim for v in vecs):
+        raise ValueError("vector dimension mismatch")
+    return _minor_table([[v[i] for v in vecs] for i in range(dim)], degree)
+
+
 @dataclass(frozen=True)
 class TropicalForm:
     """An integral p-covector on Z^n, indexed by lex-ordered p-subsets."""
@@ -282,15 +292,6 @@ class TropicalForm:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coefficients)
 
-    def minors(self, vectors: Sequence[Sequence]) -> dict:
-        """The degree x degree minors of the matrix with the vectors as
-        columns.  The table does not depend on the coefficients: every form
-        of this dimension and degree reads its Gram from it (``contract``)."""
-        vecs = [vector(v) for v in vectors]
-        if any(len(v) != self.dim for v in vecs):
-            raise ValueError("vector dimension mismatch")
-        return _minor_table([[v[i] for v in vecs] for i in range(self.dim)], self.degree)
-
     def contract(self, minors: dict, count: int) -> list:
         """The value on every degree-subset of ``count`` vectors, in
         lexicographic order, read from their table of ``minors``."""
@@ -299,7 +300,7 @@ class TropicalForm:
 
     def gram(self, vectors: Sequence[Sequence]) -> list:
         """The value on every degree-subset of the vectors, in lexicographic order."""
-        return self.contract(self.minors(vectors), len(vectors))
+        return self.contract(column_minors(vectors, self.dim, self.degree), len(vectors))
 
     def evaluate(self, vectors: Sequence[Sequence]) -> Fraction:
         """The value on degree-many tangent vectors."""

@@ -29,7 +29,7 @@ from .embedded import (
 )
 from .errors import DimensionMismatch, NotADeformation
 from .linalg import matrix, vector
-from .manifold import TropicalForm, invariant_forms, p_subsets, require_invariant
+from .manifold import TropicalForm, column_minors, invariant_forms, p_subsets, require_invariant
 from .report import Report
 
 
@@ -90,27 +90,32 @@ def end_evaluation(
     _, ends = horizontal_ends(h)
     if len(deformations) != omega_tilde.degree:
         raise ValueError(f"expected {omega_tilde.degree} deformations")
-    terms = [(s, omega_tilde, m) for s, m in _end_minors(ends, omega_tilde, deformations)]
-    return Fraction(_signed_gram(terms, len(deformations), omega_tilde.degree)[0])
+    tables = _end_tables(ends, deformations, omega_tilde.dim, omega_tilde.degree)
+    return Fraction(_end_gram(tables, omega_tilde, len(deformations))[0])
 
 
-def _signed_gram(terms, count: int, degree: int) -> list:
-    """Sum of sign * form.contract(minors, count) over (sign, form, minors)
-    terms: one value per degree-subset of the ``count`` vectors."""
-    total = [0] * comb(count, degree)
-    for sign, form, minors in terms:
-        total = [a + sign * b for a, b in zip(total, form.contract(minors, count))]
+def _signed_sum(terms, size: int) -> list:
+    """Sum of sign * values over (sign, values) terms, values of length ``size``."""
+    total = [0] * size
+    for sign, values in terms:
+        total = [a + sign * b for a, b in zip(total, values)]
     return total
 
 
-def _end_minors(ends, form: TropicalForm, deformations) -> list:
+def _end_tables(ends, deformations, dim: int, degree: int) -> list:
     """(sign * weight, minor table) per end, on the base parts of the
-    deformations at the end's tail; every form of ``form``'s dimension and
-    degree reads the end pairing from these tables."""
+    deformations at the end's tail."""
     return [
-        (sign * weight, form.minors([vector(D[tail])[:-1] for D in deformations]))
+        (sign * weight, column_minors([vector(D[tail])[:-1] for D in deformations], dim, degree))
         for sign, weight, tail in ends
     ]
+
+
+def _end_gram(tables, form: TropicalForm, count: int) -> list:
+    """The end pairing of form on every degree-subset of the ``count``
+    deformations, read from their end tables."""
+    terms = [(weight, form.contract(minors, count)) for weight, minors in tables]
+    return _signed_sum(terms, comb(count, form.degree))
 
 
 def isotropy_check(
@@ -146,9 +151,9 @@ def isotropy_check(
         return report
     basis = _deformation_basis(h)
     tuples = p_subsets(len(basis), degree)
-    end_minors = _end_minors(ends, forms[0], basis)
+    tables = _end_tables(ends, basis, base.dim, degree)
     for fi, form in enumerate(forms):
-        gram = _signed_gram([(s, form, m) for s, m in end_minors], len(basis), degree)
+        gram = _end_gram(tables, form, len(basis))
         report.add(
             f"form {fi}: all {degree}-tuples vanish",
             not any(gram),
@@ -195,19 +200,14 @@ class GradedSpace:
         return self.blocks[0].form.degree if self.blocks else 0
 
     def gram(self, vectors: Sequence[Sequence]) -> list:
-        """The signed block form on every degree-subset of the vectors.
-        Blocks on which the vectors restrict alike, such as the copies of a
-        weighted end, share one minor table."""
+        """The signed block form on every degree-subset of the vectors."""
         vecs = [vector(v) for v in vectors]
         _require_length(vecs, self.total_dimension)
-        tables, terms, offset = {}, [], 0
+        terms, offset = [], 0
         for b in self.blocks:
-            part = tuple(v[offset : offset + b.dimension] for v in vecs)
-            if part not in tables:
-                tables[part] = b.form.minors(part)
-            terms.append((b.sign, b.form, tables[part]))
+            terms.append((b.sign, b.form.gram([v[offset : offset + b.dimension] for v in vecs])))
             offset += b.dimension
-        return _signed_gram(terms, len(vecs), self.degree)
+        return _signed_sum(terms, comb(len(vecs), self.degree))
 
     def evaluate(self, vectors: Sequence[Sequence]) -> Fraction:
         """The signed block-diagonal form on degree-many total vectors."""

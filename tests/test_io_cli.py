@@ -387,6 +387,27 @@ class TestMalformedInputExits1:
         self.assert_usage_error(capsys, command, _data("fig1a.json"))
 
 
+class TestTiltedRayExits2:
+    """A curve in B x R with a tilted ray is not horizontal at infinity: every
+    command that reads its ends exits 2 with the same one-line message."""
+
+    @pytest.mark.parametrize("command", ["ev", "isotropy"])
+    def test_tilted_ray(self, tmp_path, capsys, command):
+        h = t.parametrized_curve(
+            t.product_with_line(t.make_torus([(4, 0), (0, 4)])),
+            t.abstract_curve("v", [("up", "v", None, t.INF), ("dn", "v", None, t.INF)]),
+            {"v": (0, 0, 0)},
+            {
+                "up": dict(direction=(1, 0, 1), image_length=t.INF),
+                "dn": dict(direction=(-1, 0, -1), image_length=t.INF),
+            },
+        )
+        path = _write_doc(tmp_path, io.parametrized_curve_json(h))
+        assert run_cli(command, path) == 2
+        err = capsys.readouterr().err
+        assert err == "check failed: curve has a non-vertical semi-infinite edge\n"
+
+
 BUNDLED = ["fig1a.json", "t2-cycle.json", "klein.json", "zp.json", "ziotap.json", "dxdy.json"]
 WRONG_TYPED_KEYS = ("kind", "edges", "vertices", "generators")
 scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.text(max_size=4))

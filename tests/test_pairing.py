@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_t2_witness, build_t3_witness, random_t2_horizontal_curve
+from conftest import build_t3_witness, random_t2_horizontal_curve
 from oracles import form_value_oracle
 
 import troplin as t
@@ -329,9 +329,9 @@ class TestOnePassPerCall:
         assert calls == {"validate_parametrized": 1, "deformation_constraints": 1}
 
 
-class TestOneMinorTablePerList:
-    """The end pairing and the block form build one minor table per distinct
-    list of vectors, and every form of the degree reads its Gram from it."""
+class TestOneMinorTablePerEnd:
+    """The end pairing builds one minor table per end, and every form of the
+    degree reads its Gram from it."""
 
     @pytest.fixture
     def tables(self, monkeypatch):
@@ -352,23 +352,6 @@ class TestOneMinorTablePerList:
         assert report.passed and len(report.checks) == 3
         # one table per generator of T^3 for invariant_forms, one per end
         assert len(tables) == 3 + 3
-
-    def test_roitman_builds_one_table_for_identical_blocks(self, tables):
-        space, vectors = t.infinity_restriction(build_t2_witness(), AREA)
-        tables.clear()
-        assert t.roitman_bound_check(space, vectors).satisfied
-        # two weight-2 ends give four blocks; the span restricts to the same
-        # vectors at both ends, so one table serves all four
-        assert len(space.blocks) == 4 and len(tables) == 1
-
-    def test_roitman_builds_one_table_per_distinct_end(self, tables):
-        space, vectors = t.infinity_restriction(
-            build_t3_witness(), t.TropicalForm(3, 2, (1, 0, 0))
-        )
-        tables.clear()
-        assert t.roitman_bound_check(space, vectors).satisfied
-        # ends of weight 2, 1 and 1 with different restrictions of the span
-        assert len(space.blocks) == 4 and len(tables) == 3
 
 
 class TestEndsReadInOnePlace:
