@@ -467,7 +467,8 @@ def zero_cycle(M: AffineQuotientManifold, items: Iterable[tuple[Sequence, int]])
 
 def evaluate_at_infinity(h: ParametrizedTropicalCurve) -> tuple[ZeroCycle, ZeroCycle]:
     """Base points of the rays going down (minus) and up (plus), with
-    multiplicity equal to the edge weight."""
+    multiplicity equal to the edge weight, for a valid curve: the curve
+    is not validated here, so check it first (``require_valid_parametrized``)."""
     base, ends = horizontal_ends(h)
     return tuple(
         zero_cycle(base, [(h.position(tail)[:-1], w) for s, w, tail in ends if s == sign])
@@ -476,6 +477,7 @@ def evaluate_at_infinity(h: ParametrizedTropicalCurve) -> tuple[ZeroCycle, ZeroC
 
 
 def boundary_zero_cycle(h: ParametrizedTropicalCurve) -> ZeroCycle:
-    """The 0-cycle (plus ends) - (minus ends); always degree zero."""
+    """The 0-cycle (plus ends) - (minus ends); degree zero for a valid curve,
+    which is not checked here."""
     minus, plus = evaluate_at_infinity(h)
     return plus - minus

@@ -22,11 +22,11 @@ class IrrationalData(InputError):
     """A value could not be interpreted as an exact rational."""
 
 
-class NonPositiveParameter(TroplinError):
+class NonPositiveParameter(InputError):
     """A parameter that must be strictly positive was not."""
 
 
-class DegenerateLattice(TroplinError):
+class DegenerateLattice(InputError):
     """Lattice vectors are linearly dependent."""
 
 

@@ -84,7 +84,7 @@ def vector_json(v) -> list[str]:
 
 
 def parse_vector(items) -> tuple:
-    return vector(as_fraction(x) for x in _expect(items, list, "a vector"))
+    return vector(_expect(items, list, "a vector"))
 
 
 def length_json(length) -> str:
@@ -127,9 +127,9 @@ def manifold_json(M: AffineQuotientManifold) -> dict:
             dict(name=name, **deck_json(g)) for name, g in zip(M.names, M.generators)
         ],
     }
-    if M.kind == KIND_KLEIN and M.klein_params is not None:
+    if M.kind == KIND_KLEIN:
         doc["klein"] = {"x0": frac_str(M.klein_params[0]), "y0": frac_str(M.klein_params[1])}
-    if M.kind == KIND_PRODUCT and M.base is not None:
+    if M.kind == KIND_PRODUCT:
         doc["base"] = manifold_json(M.base)
     return doc
 

@@ -12,6 +12,7 @@ relation families behind that decision.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, gcd
@@ -47,7 +48,7 @@ from .manifold import (
 
 
 def _require_klein(K: AffineQuotientManifold) -> tuple[Fraction, Fraction]:
-    if K.kind != KIND_KLEIN or K.klein_params is None:
+    if K.kind != KIND_KLEIN:
         raise UnsupportedManifoldKind("operation needs a klein-kind manifold")
     return K.klein_params
 
@@ -56,19 +57,13 @@ def iota(K: AffineQuotientManifold, p: Sequence) -> tuple:
     """The reflection (x, y) -> (x, -y), as a canonical representative."""
     _require_klein(K)
     p = vector(p)
-    return reduce_point(K, (p[0], -as_fraction(p[1])))
+    return reduce_point(K, (p[0], -p[1]))
 
 
 def section_point(K: AffineQuotientManifold, theta) -> tuple:
     """The point s(theta) = (theta, 0) of the section of the first projection."""
     _require_klein(K)
     return reduce_point(K, (theta, 0))
-
-
-def _mod(t, c: Fraction) -> Fraction:
-    t = as_fraction(t)
-    q = (t / c).numerator // (t / c).denominator
-    return t - q * c
 
 
 @dataclass(frozen=True)
@@ -86,17 +81,13 @@ class FiberCircle:
     anchor: tuple
     direction: tuple[int, ...]
     closing: DeckElement
-    axis: int | None = None
     special: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "circumference", as_fraction(self.circumference))
         object.__setattr__(self, "anchor", vector(self.anchor))
         object.__setattr__(self, "direction", tuple(as_int(c) for c in self.direction))
-        end = vector(
-            as_fraction(self.anchor[i]) + self.circumference * self.direction[i]
-            for i in range(len(self.anchor))
-        )
+        end = vector(a + self.circumference * u for a, u in zip(self.anchor, self.direction))
         if self.closing.apply(end) != self.anchor:
             raise ValueError("closing deck element does not return the circle to its anchor")
         if mat_vec(self.closing.linear, self.direction) != self.direction:
@@ -104,11 +95,8 @@ class FiberCircle:
 
     def point_at(self, t) -> tuple:
         """Canonical representative of the circle point at parameter t."""
-        t = _mod(t, self.circumference)
-        lift = vector(
-            as_fraction(self.anchor[i]) + t * self.direction[i]
-            for i in range(len(self.anchor))
-        )
+        t = as_fraction(t) % self.circumference
+        lift = [a + t * u for a, u in zip(self.anchor, self.direction)]
         return reduce_point(self.manifold, lift)
 
 
@@ -120,8 +108,7 @@ def circle_embedding(
     closing: DeckElement,
 ) -> FiberCircle:
     """Embedding data for an arbitrary affinely embedded circle."""
-    return FiberCircle(manifold, as_fraction(circumference), vector(anchor),
-                       tuple(direction), closing, axis=None, special=False)
+    return FiberCircle(manifold, circumference, anchor, direction, closing)
 
 
 def fiber_circle(K: AffineQuotientManifold, axis: int, value) -> FiberCircle:
@@ -135,19 +122,18 @@ def fiber_circle(K: AffineQuotientManifold, axis: int, value) -> FiberCircle:
     if axis == 1:
         theta = reduce_point(K, (value, 0))[0]
         closing = K.deck_from_word("a^-1")
-        return FiberCircle(K, y0, (theta, 0), (0, 1), closing, axis=1)
+        return FiberCircle(K, y0, (theta, 0), (0, 1), closing)
     if axis == 2:
         y = reduce_point(K, (0, value))[1]
         if y == 0 or y == y0 / 2:
             word = "b^-1" if y == 0 else "b^-1 a^-1"
-            return FiberCircle(K, x0, (0, y), (1, 0), K.deck_from_word(word), axis=2, special=True)
-        return FiberCircle(K, 2 * x0, (0, y), (1, 0), K.deck_from_word("b^-2"), axis=2)
+            return FiberCircle(K, x0, (0, y), (1, 0), K.deck_from_word(word), special=True)
+        return FiberCircle(K, 2 * x0, (0, y), (1, 0), K.deck_from_word("b^-2"))
     raise ValueError("axis must be 1 or 2")
 
 
 def _rational_gcd(a, b) -> Fraction:
     """The nonnegative generator of the group a Z + b Z."""
-    a, b = as_fraction(a), as_fraction(b)
     return Fraction(gcd(a.numerator * b.denominator, b.numerator * a.denominator),
                     a.denominator * b.denominator)
 
@@ -173,9 +159,9 @@ def fiber_position(circle: FiberCircle, p: Sequence) -> Fraction:
     step = period / abs(d) if period else c
     signs = (1, -1) if any(g.linear[i][i] == -1 for g in M.generators) else (1,)
     for sign in signs:
-        t0 = (sign * as_fraction(target[i]) - as_fraction(circle.anchor[i])) / d
+        t0 = Fraction(sign * target[i] - circle.anchor[i], d)
         for k in range(ceil(c / step)):
-            t = _mod(t0 + k * step, c)
+            t = (t0 + k * step) % c
             if circle.point_at(t) == target:
                 return t
     raise ValueError("point does not lie on the circle")
@@ -188,7 +174,7 @@ def fiber_position(circle: FiberCircle, p: Sequence) -> Fraction:
 def _normalize_divisor(c: Fraction, divisor: Sequence[tuple]) -> list[tuple[Fraction, int]]:
     acc: dict[Fraction, int] = {}
     for t, m in divisor:
-        key = _mod(t, c)
+        key = as_fraction(t) % c
         acc[key] = acc.get(key, 0) + as_int(m)
     return sorted((t, m) for t, m in acc.items() if m != 0)
 
@@ -199,7 +185,7 @@ def circle_jacobian_class(c, divisor: Sequence[tuple]) -> Fraction:
     items = _normalize_divisor(c, divisor)
     if sum(m for _, m in items) != 0:
         raise NonZeroDegree("divisor must have degree zero")
-    return _mod(sum(m * t for t, m in items), c)
+    return sum(m * t for t, m in items) % c
 
 
 @dataclass(frozen=True)
@@ -252,15 +238,10 @@ class PiecewiseLinearFunction:
     def evaluate(self, t) -> Fraction:
         if not self.breakpoints:
             return Fraction(0)
-        t = _mod(t, self.circumference)
-        k = len(self.breakpoints)
-        i = max((j for j in range(k) if self.breakpoints[j] <= t), default=k - 1)
-        if self.breakpoints[0] > t:  # before the first breakpoint: wrap segment
-            i = k - 1
-            return as_fraction(self.values[i]) + self.slopes[i] * (
-                t + self.circumference - self.breakpoints[i]
-            )
-        return as_fraction(self.values[i]) + self.slopes[i] * (t - self.breakpoints[i])
+        c = self.circumference
+        t = as_fraction(t) % c
+        i = bisect_right(self.breakpoints, t) - 1  # -1: the arc wrapping past c
+        return self.values[i] + self.slopes[i] * ((t - self.breakpoints[i]) % c)
 
 
 def principal_function(c, divisor: Sequence[tuple]) -> PiecewiseLinearFunction:
@@ -275,7 +256,7 @@ def principal_function(c, divisor: Sequence[tuple]) -> PiecewiseLinearFunction:
         raise NonZeroDegree("divisor must have degree zero")
     if not items:
         return PiecewiseLinearFunction(c, (), (), ())
-    klass = _mod(sum(m * t for t, m in items), c)
+    sigma, klass = divmod(sum(m * t for t, m in items), c)  # slope offset, class
     if klass != 0:
         raise NotPrincipal(f"jacobian class {klass} is nonzero modulo {c}")
     bps = [t for t, _ in items]
@@ -285,8 +266,7 @@ def principal_function(c, divisor: Sequence[tuple]) -> PiecewiseLinearFunction:
     for m in mults:
         run += m
         cumulative.append(run)
-    sigma = sum(m * t for t, m in items) / c  # integral because the class vanishes
-    slopes = [as_int(sigma + ci) for ci in cumulative]
+    slopes = [sigma + ci for ci in cumulative]
     values = [Fraction(0)]
     for i in range(len(bps) - 1):
         values.append(values[-1] + slopes[i] * (bps[i + 1] - bps[i]))
@@ -330,8 +310,8 @@ def modification_curve(
         vertices = [f"v{i}" for i in range(k)]
         positions = {}
         for i, t in enumerate(f.breakpoints):
-            pos = [as_fraction(circle.anchor[j]) + t * u[j] for j in range(n)]
-            positions[f"v{i}"] = tuple(pos + [as_fraction(f.values[i])])
+            pos = [circle.anchor[j] + t * u[j] for j in range(n)]
+            positions[f"v{i}"] = tuple(pos + [f.values[i]])
         edges_abs = []
         edges_emb = {}
         for i in range(k):
@@ -382,10 +362,7 @@ def modification_curve(
 def albanese_class(K: AffineQuotientManifold, z: ZeroCycle) -> tuple[int, Fraction]:
     """Degree and the integral of dx against z, modulo the period x0."""
     x0, _ = _require_klein(K)
-    total = Fraction(0)
-    for p, m in z.entries:
-        total += m * as_fraction(p[0])
-    return z.degree, _mod(total, x0)
+    return z.degree, sum(m * p[0] for p, m in z.entries) % x0
 
 
 def chow_equivalent(K: AffineQuotientManifold, z1: ZeroCycle, z2: ZeroCycle) -> bool:
@@ -436,7 +413,7 @@ def witness_fiber_relation(
         raise OnSection("point lies on the image of the section")
     theta = p[0]
     circle = fiber_circle(K, 1, theta)
-    divisor = [(as_fraction(p[1]), 1), (-as_fraction(p[1]), 1), (Fraction(0), -2)]
+    divisor = [(p[1], 1), (-p[1], 1), (0, -2)]
     f = principal_function(circle.circumference, divisor)
     h = modification_curve(circle, f)
     expected = zero_cycle(

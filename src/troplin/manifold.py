@@ -112,7 +112,6 @@ def identity_deck(n: int) -> DeckElement:
 
 
 def translation_deck(t: Sequence) -> DeckElement:
-    t = vector(t)
     return DeckElement(_identity(len(t)), t)
 
 
@@ -147,9 +146,9 @@ class AffineQuotientManifold:
             a, b = self.generators
             if (
                 a.linear != ((1, 0), (0, 1))
-                or tuple(a.translation) != (0, y0)
+                or a.translation != (0, y0)
                 or b.linear != ((1, 0), (0, -1))
-                or tuple(b.translation) != (x0, 0)
+                or b.translation != (x0, 0)
             ):
                 raise ValueError(
                     "klein generators must be a: y -> y + y0, b: (x, y) -> (x + x0, -y)"
@@ -361,9 +360,9 @@ def albanese_data(M: AffineQuotientManifold) -> AlbaneseData:
 # Canonical representatives
 
 
-def _floor_div(x: Fraction, step: Fraction) -> int:
-    q = as_fraction(x) / as_fraction(step)
-    return q.numerator // q.denominator
+def _lattice_matrix(M: AffineQuotientManifold) -> linalg.Matrix:
+    """The matrix whose columns are the translations of a torus."""
+    return matrix(zip(*(g.translation for g in M.generators)))
 
 
 def reduce_point(M: AffineQuotientManifold, x: Sequence) -> tuple:
@@ -378,22 +377,15 @@ def reduce_point(M: AffineQuotientManifold, x: Sequence) -> tuple:
     if M.kind == KIND_EUCLIDEAN:
         return x
     if M.kind == KIND_TORUS:
-        V = matrix([[g.translation[i] for g in M.generators] for i in range(M.dim)])
-        c = linalg.solve_rational(V, x)
-        frac = [as_fraction(ci) - _floor_div(as_fraction(ci), Fraction(1)) for ci in c]
-        return vector(linalg.mat_vec(V, frac))
+        V = _lattice_matrix(M)
+        return vector(linalg.mat_vec(V, [c % 1 for c in linalg.solve_rational(V, x)]))
     if M.kind == KIND_KLEIN:
         x0, y0 = M.klein_params
-        k = _floor_div(as_fraction(x[0]), x0)
-        xb = as_fraction(x[0]) - k * x0
-        y = as_fraction(x[1]) if k % 2 == 0 else -as_fraction(x[1])
-        yb = y - _floor_div(y, y0) * y0
-        return vector([xb, yb])
+        k, xb = divmod(x[0], x0)
+        sign = 1 - 2 * (k % 2)  # an odd number of b's flips y
+        return vector([xb, (sign * x[1]) % y0])
     if M.kind == KIND_PRODUCT:
-        if M.base is None:
-            raise UnsupportedManifoldKind("product manifold without base data")
-        head = reduce_point(M.base, x[:-1])
-        return vector(list(head) + [x[-1]])
+        return reduce_point(M.base, x[:-1]) + x[-1:]
     raise UnsupportedManifoldKind(f"no canonical representative for kind {M.kind!r}")
 
 
@@ -406,25 +398,16 @@ def contains_deck(M: AffineQuotientManifold, g: DeckElement) -> bool | None:
 def _contains(M: AffineQuotientManifold, A: tuple, t: tuple) -> bool | None:
     """``contains_deck`` on the linear part and translation of a valid deck
     element of M's dimension, without building one."""
-    n = M.dim
-    identity = _identity(n)
+    identity = _identity(M.dim)
     if M.kind == KIND_TORUS:
-        if A != identity:
-            return False
-        V = matrix([[gen.translation[i] for gen in M.generators] for i in range(n)])
-        c = linalg.solve_rational(V, t)
-        return c is not None and all(as_fraction(ci).denominator == 1 for ci in c)
+        return A == identity and not any(
+            c % 1 for c in linalg.solve_rational(_lattice_matrix(M), t)
+        )
     if M.kind == KIND_KLEIN:
         x0, y0 = M.klein_params
-        tx, ty = as_fraction(t[0]), as_fraction(t[1])
-        if (tx / x0).denominator != 1 or (ty / y0).denominator != 1:
-            return False
-        k = int(tx / x0)
-        if A == ((1, 0), (0, 1)):
-            return k % 2 == 0
-        if A == ((1, 0), (0, -1)):
-            return k % 2 == 1
-        return False
+        k, tx = divmod(t[0], x0)
+        sign = 1 - 2 * (k % 2)  # b^k flips y exactly when k is odd
+        return not tx and not t[1] % y0 and A == ((1, 0), (0, sign))
     if M.kind == KIND_PRODUCT:
         if t[-1] != 0 or A[-1] != identity[-1] or any(row[-1] for row in A[:-1]):
             return False

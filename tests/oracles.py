@@ -5,8 +5,9 @@ Python Fractions so that a library bug cannot hide behind shared code:
 row reduction for ranks and nullities, Leibniz determinants and the
 tuple-by-tuple evaluation of forms, lattice membership by determinantal
 divisors, minor-based deformation constraints, brute-force orbit
-enumeration on the Klein deck group, and the all-pairs, elimination-based
-euclidean embeddedness check.
+enumeration on the Klein deck group, an arc-by-arc walk for functions on
+a circle, and the all-pairs, elimination-based euclidean embeddedness
+check.
 """
 
 from fractions import Fraction
@@ -202,6 +203,29 @@ def klein_fiber_circumference_oracle(x0, y0, anchor, direction, window=5):
         if wx == t * dx and wy == t * dy and t > 0:
             best = t if best is None else min(best, t)
     return best
+
+
+def circle_function_oracle(c, breakpoints, values, slopes, t):
+    """Value at t of a piecewise linear function on the circle R / c Z.
+
+    Shifts t into [0, c) one period at a time, then walks the arcs
+    [b_i, b_(i+1)) in turn, the last one running past c to b_0 + c, until
+    one holds t or t + c."""
+    c, t = Fraction(c), Fraction(t)
+    if not breakpoints:
+        return Fraction(0)
+    while t < 0:
+        t += c
+    while t >= c:
+        t -= c
+    k = len(breakpoints)
+    for i in range(k):
+        start = Fraction(breakpoints[i])
+        end = Fraction(breakpoints[i + 1]) if i + 1 < k else Fraction(breakpoints[0]) + c
+        for s in (t, t + c):
+            if start <= s < end:
+                return Fraction(values[i]) + slopes[i] * (s - start)
+    raise AssertionError("no arc holds t")
 
 
 def solve_oracle(rows, rhs):

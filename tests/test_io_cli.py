@@ -386,6 +386,31 @@ class TestMalformedInputExits1:
     def test_curve_outside_a_product_with_a_line(self, capsys, command):
         self.assert_usage_error(capsys, command, _data("fig1a.json"))
 
+    def test_torus_with_dependent_translations(self, tmp_path, capsys):
+        torus = _write_doc(tmp_path, {"kind": "torus", "dim": 2, "generators": [
+            {"name": "t1", "translation": ["1", "2"]},
+            {"name": "t2", "translation": ["2", "4"]},
+        ]})
+        self.assert_usage_error(capsys, "forms", "-p", "1", torus)
+
+    def test_klein_with_negative_parameter(self, tmp_path, capsys):
+        doc = io.load_json(_data("klein.json"))
+        doc["klein"]["x0"] = "-1"
+        self.assert_usage_error(capsys, "forms", "-p", "1", _write_doc(tmp_path, doc))
+
+
+class TestEvValidatesItsCurve:
+    def test_unbalanced_ray_weight_exits_2_like_isotropy(self, tmp_path, capsys):
+        doc = io.load_json(_data("t2-cycle.json"))
+        next(e for e in doc["edges+"] if e["id"] == "ray0")["weight"] = 5
+        path = _write_doc(tmp_path, doc)
+        assert run_cli("isotropy", path) == 2
+        expected = capsys.readouterr().err
+        assert expected.startswith("check failed: ") and expected.count("\n") == 1
+        assert run_cli("ev", path) == 2
+        captured = capsys.readouterr()
+        assert captured.err == expected and captured.out == ""
+
 
 class TestTiltedRayExits2:
     """A curve in B x R with a tilted ray is not horizontal at infinity: every

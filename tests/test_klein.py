@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import klein_fiber_circumference_oracle
+from oracles import circle_function_oracle, klein_fiber_circumference_oracle
 
 import troplin as t
 from troplin.errors import NonZeroDegree, NotPrincipal, OnSection, SpecialFiber
@@ -99,6 +99,21 @@ class TestPiecewiseLinearEvaluate:
     def test_constant(self):
         f = t.principal_function(4, [])
         assert f.evaluate(Fraction(17, 5)) == 0
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_an_arc_by_arc_walk(self, data):
+        c = data.draw(st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(5, 3), Fraction(4)]))
+        divisor = data.draw(st.lists(st.tuples(rationals, st.integers(-3, 3)), max_size=5))
+        base = data.draw(rationals)
+        divisor.append((base, -sum(m for _, m in divisor)))
+        klass = sum(m * p for p, m in divisor) % c
+        divisor += [(base, 1), (base + klass, -1)]  # the class is now zero
+        f = t.principal_function(c, divisor)
+        for s in data.draw(st.lists(st.one_of(rationals, st.integers(-9, 9)), max_size=6)):
+            value = f.evaluate(s)
+            assert type(value) is Fraction
+            assert value == circle_function_oracle(c, f.breakpoints, f.values, f.slopes, s)
 
 
 class TestKleinKindGuards:

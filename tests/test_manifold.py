@@ -6,10 +6,16 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import fixed_form_rank_oracle, form_value_oracle, gram_oracle, pullback_oracle
+from oracles import (
+    fixed_form_rank_oracle,
+    form_value_oracle,
+    gram_oracle,
+    klein_orbit_points,
+    pullback_oracle,
+)
 
 import troplin as t
 from troplin.errors import DegenerateLattice, NonPositiveParameter, UnsupportedManifoldKind
@@ -326,3 +332,74 @@ class TestDeckMembership:
 
         assert contains_deck(T, translation_deck((8, -4))) is True
         assert contains_deck(T, translation_deck((2, 0))) is False
+
+
+KLEIN_PARAMS = [(2, 3), (Fraction(3, 2), Fraction(5, 3)), (1, Fraction(7, 4)), (Fraction(5, 2), 1)]
+coordinates = st.one_of(
+    st.integers(-12, 12),
+    st.fractions(min_value=-12, max_value=12, max_denominator=7),
+    st.fractions(min_value=-12, max_value=12, max_denominator=7).map(str),
+)
+
+
+def exact_and_normalized(x) -> bool:
+    """Every entry is an int when integral and a Fraction otherwise."""
+    return all(type(c) is (int if c.denominator == 1 else Fraction) for c in x)
+
+
+def deck_words(M: t.AffineQuotientManifold):
+    tokens = st.tuples(st.sampled_from(M.names), st.integers(-3, 3)).map("{0[0]}^{0[1]}".format)
+    return st.lists(tokens, max_size=4).map(" ".join)
+
+
+SKEW_TORUS = t.make_torus([(2, 1), (-1, Fraction(3, 2))])
+MEMBERSHIP_MANIFOLDS = [
+    t.make_klein(2, 3),
+    t.make_klein(Fraction(3, 2), Fraction(5, 3)),
+    SKEW_TORUS,
+    t.product_with_line(SKEW_TORUS),
+    t.product_with_line(t.make_klein(Fraction(3, 2), Fraction(5, 3))),
+]
+
+
+class TestPeriodicReductionProperties:
+    """reduce_point and contains_deck against the closed-form Klein orbit in
+    tests/oracles.py and against perturbed deck elements."""
+
+    @given(st.sampled_from(KLEIN_PARAMS), coordinates, coordinates)
+    @example(KLEIN_PARAMS[1], -7, 5)  # all-int input on rational parameters
+    @settings(max_examples=300, deadline=None)
+    def test_klein_reduction_lies_in_the_domain_and_the_orbit(self, params, x, y):
+        x0, y0 = params
+        reduced = t.reduce_point(t.make_klein(x0, y0), (x, y))
+        assert 0 <= reduced[0] < x0 and 0 <= reduced[1] < y0
+        assert reduced in klein_orbit_points(x0, y0, (Fraction(x), Fraction(y)), window=13)
+        assert exact_and_normalized(reduced)
+
+    @given(st.sampled_from(MEMBERSHIP_MANIFOLDS), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_words_belong_and_perturbations_do_not(self, M, data):
+        g = M.deck_from_word(data.draw(deck_words(M)))
+        assert contains_deck(M, g) is True
+        for generator in M.generators:  # half a period is off the lattice
+            half = [a + Fraction(b, 2) for a, b in zip(g.translation, generator.translation)]
+            assert contains_deck(M, t.DeckElement(g.linear, half)) is False
+        flipped = [list(row) for row in g.linear]
+        flipped[1][1] = -flipped[1][1]  # swaps I and diag(1, -1) on the first two axes
+        assert contains_deck(M, t.DeckElement(flipped, g.translation)) is False
+
+    @given(st.sampled_from(MEMBERSHIP_MANIFOLDS[:2]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_klein_translation_without_its_reflection_is_refused(self, K, data):
+        g = K.deck_from_word(data.draw(deck_words(K)))
+        shifted = [a + b for a, b in zip(g.translation, K.generator("b").translation)]
+        assert contains_deck(K, t.DeckElement(g.linear, shifted)) is False
+
+    @given(st.sampled_from(MEMBERSHIP_MANIFOLDS), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_reduction_is_deck_invariant(self, M, data):
+        x = data.draw(st.lists(coordinates, min_size=M.dim, max_size=M.dim))
+        g = M.deck_from_word(data.draw(deck_words(M)))
+        reduced = t.reduce_point(M, x)
+        assert t.reduce_point(M, g.apply(x)) == reduced == t.reduce_point(M, reduced)
+        assert exact_and_normalized(reduced)
