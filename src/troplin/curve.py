@@ -108,7 +108,7 @@ def validate_abstract(curve: AbstractTropicalCurve) -> Report:
 def require_valid(curve: AbstractTropicalCurve) -> None:
     report = validate_abstract(curve)
     if not report.passed:
-        raise InvalidCurve("; ".join(c.detail or c.name for c in report.failures()))
+        raise InvalidCurve(report.failure_summary())
 
 
 def boundary_matrix(curve: AbstractTropicalCurve):

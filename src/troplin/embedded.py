@@ -216,10 +216,7 @@ def validate_parametrized(h: ParametrizedTropicalCurve) -> Report:
     """
     report = Report("parametrized curve")
     abstract_report = validate_abstract(h.abstract)
-    report.add(
-        "abstract curve valid", abstract_report.passed,
-        "; ".join(c.detail or c.name for c in abstract_report.failures()),
-    )
+    report.add("abstract curve valid", abstract_report.passed, abstract_report.failure_summary())
     if not abstract_report.passed:
         return report
     n = h.manifold.dim
@@ -321,7 +318,7 @@ def validate_parametrized(h: ParametrizedTropicalCurve) -> Report:
 def require_valid_parametrized(h: ParametrizedTropicalCurve) -> None:
     report = validate_parametrized(h)
     if not report.passed:
-        raise InvalidCurve("; ".join(c.detail or c.name for c in report.failures()))
+        raise InvalidCurve(report.failure_summary())
 
 
 # ---------------------------------------------------------------------------
@@ -479,5 +476,5 @@ def evaluate_at_infinity(h: ParametrizedTropicalCurve) -> tuple[ZeroCycle, ZeroC
 def boundary_zero_cycle(h: ParametrizedTropicalCurve) -> ZeroCycle:
     """The 0-cycle (plus ends) - (minus ends); degree zero for a valid curve,
     which is not checked here."""
-    minus, plus = evaluate_at_infinity(h)
-    return plus - minus
+    base, ends = horizontal_ends(h)
+    return zero_cycle(base, [(h.position(tail)[:-1], sign * w) for sign, w, tail in ends])

@@ -50,7 +50,7 @@ class NotHorizontal(TroplinError):
     """The curve has a semi-infinite edge that is not vertical."""
 
 
-class DimensionMismatch(TroplinError):
+class DimensionMismatch(InputError):
     """Degrees or dimensions of the inputs are incompatible."""
 
 

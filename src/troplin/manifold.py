@@ -18,6 +18,7 @@ from typing import Sequence
 from . import linalg
 from .errors import (
     DegenerateLattice,
+    DimensionMismatch,
     FormNotInvariant,
     NonPositiveParameter,
     UnsupportedManifoldKind,
@@ -193,12 +194,10 @@ def make_torus(lattice: Sequence[Sequence]) -> AffineQuotientManifold:
     if not vecs:
         raise DegenerateLattice("empty lattice")
     n = len(vecs[0])
-    if len(vecs) != n or any(len(v) != n for v in vecs):
-        raise DegenerateLattice("need n independent vectors of length n")
-    if linalg.rank(matrix(vecs)) != n:
-        raise DegenerateLattice("lattice vectors are linearly dependent")
+    if any(len(v) != n for v in vecs):
+        raise DegenerateLattice("lattice vectors have different lengths")
     gens = tuple(translation_deck(v) for v in vecs)
-    names = tuple(f"t{i + 1}" for i in range(n))
+    names = tuple(f"t{i + 1}" for i in range(len(vecs)))
     return AffineQuotientManifold(n, gens, names, KIND_TORUS)
 
 
@@ -262,16 +261,6 @@ def _minor_table(rows: Sequence[Sequence], p: int) -> dict:
     return level
 
 
-def column_minors(vectors: Sequence[Sequence], dim: int, degree: int) -> dict:
-    """The degree x degree minors of the dim-row matrix with the vectors as
-    columns.  Every form of this dimension and degree reads its Gram on the
-    vectors from this one table (``TropicalForm.contract``)."""
-    vecs = [vector(v) for v in vectors]
-    if any(len(v) != dim for v in vecs):
-        raise ValueError("vector dimension mismatch")
-    return _minor_table([[v[i] for v in vecs] for i in range(dim)], degree)
-
-
 @dataclass(frozen=True)
 class TropicalForm:
     """An integral p-covector on Z^n, indexed by lex-ordered p-subsets."""
@@ -291,15 +280,14 @@ class TropicalForm:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coefficients)
 
-    def contract(self, minors: dict, count: int) -> list:
-        """The value on every degree-subset of ``count`` vectors, in
-        lexicographic order, read from their table of ``minors``."""
-        terms = [(c, T) for c, T in zip(self.coefficients, p_subsets(self.dim, self.degree)) if c]
-        return [sum(c * minors[T, S] for c, T in terms) for S in p_subsets(count, self.degree)]
-
     def gram(self, vectors: Sequence[Sequence]) -> list:
         """The value on every degree-subset of the vectors, in lexicographic order."""
-        return self.contract(column_minors(vectors, self.dim, self.degree), len(vectors))
+        vecs = [vector(v) for v in vectors]
+        if any(len(v) != self.dim for v in vecs):
+            raise ValueError("vector dimension mismatch")
+        minors = _minor_table([[v[i] for v in vecs] for i in range(self.dim)], self.degree)
+        terms = [(c, T) for c, T in zip(self.coefficients, p_subsets(self.dim, self.degree)) if c]
+        return [sum(c * minors[T, S] for c, T in terms) for S in p_subsets(len(vecs), self.degree)]
 
     def evaluate(self, vectors: Sequence[Sequence]) -> Fraction:
         """The value on degree-many tangent vectors."""
@@ -420,6 +408,6 @@ def _contains(M: AffineQuotientManifold, A: tuple, t: tuple) -> bool | None:
 
 def require_invariant(M: AffineQuotientManifold, form: TropicalForm) -> None:
     if form.dim != M.dim:
-        raise FormNotInvariant("form lives on a space of different dimension")
+        raise DimensionMismatch("form lives on a space of different dimension")
     if not form.is_invariant(M):
         raise FormNotInvariant("form is not fixed by the deck group")

@@ -29,7 +29,7 @@ from .embedded import (
 )
 from .errors import DimensionMismatch, NotADeformation
 from .linalg import matrix, vector
-from .manifold import TropicalForm, column_minors, invariant_forms, p_subsets, require_invariant
+from .manifold import TropicalForm, invariant_forms, p_subsets, require_invariant
 from .report import Report
 
 
@@ -90,32 +90,20 @@ def end_evaluation(
     _, ends = horizontal_ends(h)
     if len(deformations) != omega_tilde.degree:
         raise ValueError(f"expected {omega_tilde.degree} deformations")
-    tables = _end_tables(ends, deformations, omega_tilde.dim, omega_tilde.degree)
-    return Fraction(_end_gram(tables, omega_tilde, len(deformations))[0])
-
-
-def _signed_sum(terms, size: int) -> list:
-    """Sum of sign * values over (sign, values) terms, values of length ``size``."""
-    total = [0] * size
-    for sign, values in terms:
-        total = [a + sign * b for a, b in zip(total, values)]
-    return total
-
-
-def _end_tables(ends, deformations, dim: int, degree: int) -> list:
-    """(sign * weight, minor table) per end, on the base parts of the
-    deformations at the end's tail."""
-    return [
-        (sign * weight, column_minors([vector(D[tail])[:-1] for D in deformations], dim, degree))
+    terms = [
+        (sign * weight, omega_tilde, [D[tail][:-1] for D in deformations])
         for sign, weight, tail in ends
     ]
+    return Fraction(_signed_gram(terms, omega_tilde.degree, len(deformations))[0])
 
 
-def _end_gram(tables, form: TropicalForm, count: int) -> list:
-    """The end pairing of form on every degree-subset of the ``count``
-    deformations, read from their end tables."""
-    terms = [(weight, form.contract(minors, count)) for weight, minors in tables]
-    return _signed_sum(terms, comb(count, form.degree))
+def _signed_gram(terms, degree: int, count: int) -> list:
+    """Sum of c * form.gram(vectors) over (c, form, vectors) terms: a signed
+    form on every degree-subset of ``count`` vectors, in lexicographic order."""
+    total = [0] * comb(count, degree)
+    for c, form, vectors in terms:
+        total = [a + c * b for a, b in zip(total, form.gram(vectors))]
+    return total
 
 
 def isotropy_check(
@@ -151,9 +139,9 @@ def isotropy_check(
         return report
     basis = _deformation_basis(h)
     tuples = p_subsets(len(basis), degree)
-    tables = _end_tables(ends, basis, base.dim, degree)
+    parts = [(sign * weight, [D[tail][:-1] for D in basis]) for sign, weight, tail in ends]
     for fi, form in enumerate(forms):
-        gram = _end_gram(tables, form, len(basis))
+        gram = _signed_gram([(c, form, vecs) for c, vecs in parts], degree, len(basis))
         report.add(
             f"form {fi}: all {degree}-tuples vanish",
             not any(gram),
@@ -205,9 +193,9 @@ class GradedSpace:
         _require_length(vecs, self.total_dimension)
         terms, offset = [], 0
         for b in self.blocks:
-            terms.append((b.sign, b.form.gram([v[offset : offset + b.dimension] for v in vecs])))
+            terms.append((b.sign, b.form, [v[offset : offset + b.dimension] for v in vecs]))
             offset += b.dimension
-        return _signed_sum(terms, comb(len(vecs), self.degree))
+        return _signed_gram(terms, self.degree, len(vecs))
 
     def evaluate(self, vectors: Sequence[Sequence]) -> Fraction:
         """The signed block-diagonal form on degree-many total vectors."""

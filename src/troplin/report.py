@@ -38,6 +38,10 @@ class Report:
     def failures(self) -> list[Check]:
         return [c for c in self.checks if c.status == FAIL]
 
+    def failure_summary(self) -> str:
+        """One line naming every failed check, by its detail where it has one."""
+        return "; ".join(c.detail or c.name for c in self.failures())
+
     def to_json(self) -> dict:
         return {
             "subject": self.subject,

@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_t2_cycle, random_t2_horizontal_curve
+from conftest import build_t2_cycle, build_t3_witness, random_t2_horizontal_curve
 from oracles import deformation_nullity_minor_oracle, embeddedness_oracle
 
 import troplin as t
 from troplin.embedded import _intersecting_edge_pairs, balancing_residual
 from troplin.errors import NotHorizontal, WrongAmbient
 from troplin.manifold import KIND_GENERAL, AffineQuotientManifold, translation_deck
+
+T3_WITNESS = build_t3_witness()  # module level: Hypothesis tests take no function fixtures
 
 
 def _primitive(v):
@@ -397,6 +399,27 @@ class TestHorizontalAndEvaluation:
             minus, plus = t.evaluate_at_infinity(h)
             assert minus.degree == plus.degree
             assert t.boundary_zero_cycle(h).degree == 0
+
+    @given(
+        st.integers(0, 10**6),
+        st.fractions(min_value=0, max_value=2, max_denominator=5).filter(lambda q: q < 2),
+        st.fractions(min_value=Fraction(1, 5), max_value=Fraction(14, 5), max_denominator=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_boundary_is_plus_ends_minus_minus_ends(self, seed, x, y):
+        """One merge over the signed ends gives the same cycle, value types
+        included, as subtracting the two cycles of evaluate_at_infinity."""
+        K = t.make_klein(2, 3)
+        p = t.reduce_point(K, (x, y))
+        curves = [random_t2_horizontal_curve(random.Random(seed)), T3_WITNESS]
+        if p[1] != 0:
+            curves.append(t.witness_fiber_relation(K, p))
+        if p[1] not in (0, Fraction(3, 2)):
+            curves.append(t.witness_two_torsion(K, p))
+        for h in curves:
+            minus, plus = t.evaluate_at_infinity(h)
+            boundary = t.boundary_zero_cycle(h)
+            assert repr(boundary) == repr(plus - minus)
 
 
 class TestZeroCycle:

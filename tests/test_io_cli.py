@@ -398,6 +398,30 @@ class TestMalformedInputExits1:
         doc["klein"]["x0"] = "-1"
         self.assert_usage_error(capsys, "forms", "-p", "1", _write_doc(tmp_path, doc))
 
+    def test_isotropy_degree_below_two(self, capsys):
+        self.assert_usage_error(capsys, "isotropy", _data("t2-cycle.json"), "--degree", "1")
+
+    @pytest.mark.parametrize("form", [
+        {"dim": 2, "degree": 1, "coefficients": [1, 0]},
+        {"dim": 3, "degree": 2, "coefficients": [1, 0, 0]},
+    ], ids=["one-form", "wrong-dimension"])
+    def test_isotropy_form_of_the_wrong_shape(self, tmp_path, capsys, form):
+        path = _write_doc(tmp_path, form, "form.json")
+        self.assert_usage_error(capsys, "isotropy", _data("t2-cycle.json"), "--form", path)
+
+    AREA = {"dim": 2, "degree": 2, "coefficients": [1]}
+
+    @pytest.mark.parametrize("doc", [
+        {"blocks": [{"dimension": 2, "sign": 1, "form": AREA}], "vectors": [["1", "0", "5"]]},
+        {"blocks": [{"dimension": 3, "sign": 1, "form": AREA}]},
+        {"blocks": [
+            {"dimension": 2, "sign": 1, "form": AREA},
+            {"dimension": 2, "sign": -1, "form": {"dim": 2, "degree": 1, "coefficients": [1, 0]}},
+        ]},
+    ], ids=["vector-too-long", "form-on-wrong-space", "mixed-degrees"])
+    def test_roitman_document_of_the_wrong_shape(self, tmp_path, capsys, doc):
+        self.assert_usage_error(capsys, "roitman", _write_doc(tmp_path, doc))
+
 
 class TestEvValidatesItsCurve:
     def test_unbalanced_ray_weight_exits_2_like_isotropy(self, tmp_path, capsys):

@@ -4,16 +4,18 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import comb
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import build_t3_witness, random_t2_horizontal_curve
 from oracles import form_value_oracle
 
 import troplin as t
-from troplin import embedded, io, manifold, pairing
+from troplin import embedded, io, pairing
 from troplin.curve import satisfies_vertex_equations
 from troplin.errors import DimensionMismatch, NotADeformation, NotHorizontal, WrongAmbient
 from troplin.pairing import end_evaluation, wedge_with_last
@@ -280,6 +282,35 @@ class TestRoitman:
         for pair, value in zip(combinations(vectors, 2), expected):
             assert space.evaluate(list(pair)) == value
 
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_mixed_block_gram_matches_tuple_oracle(self, data):
+        """Blocks of dimensions 2-4, each with its own nonzero form of one
+        degree, so the slices sit at unequal offsets."""
+        dims = data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
+        degree = data.draw(st.integers(1, min(dims)))
+        blocks = []
+        for dim in dims:
+            size = comb(dim, degree)
+            coefficients = data.draw(
+                st.lists(st.integers(-2, 2), min_size=size, max_size=size).filter(any)
+            )
+            sign = data.draw(st.sampled_from([1, -1]))
+            blocks.append(t.Block(dim, sign, t.TropicalForm(dim, degree, tuple(coefficients))))
+        space = t.GradedSpace(tuple(blocks))
+        total = sum(dims)
+        entries = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+        vectors = data.draw(st.lists(st.lists(entries, min_size=total, max_size=total),
+                                     max_size=4))
+        offsets = [sum(dims[:i]) for i in range(len(dims))]
+        expected = [
+            sum(b.sign * form_value_oracle(b.dimension, degree, b.form.coefficients,
+                                           [v[o : o + b.dimension] for v in tup])
+                for b, o in zip(blocks, offsets))
+            for tup in combinations(vectors, degree)
+        ]
+        assert space.gram(vectors) == expected
+
     def test_infinity_restriction_of_witness(self, t2_witness):
         space, vectors = t.infinity_restriction(t2_witness, AREA)
         assert len(space.blocks) == 4
@@ -295,6 +326,35 @@ class TestRoitman:
             result = t.roitman_bound_check(space, vectors)
             assert result.isotropic
             assert result.satisfied
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_end_pairing_weights_as_coefficients_or_copies(self, seed):
+        """isotropy_check multiplies each end's term by its weight, while
+        infinity_restriction repeats the end in one block per unit of
+        weight.  On arbitrary vertex vectors in place of the deformation
+        basis the two Grams are nonzero and must agree.  The T^3 witness
+        has an end of weight 2."""
+        rng = random.Random(seed)
+        if seed % 3 == 0:
+            h, dim = T3_WITNESS, 3
+        else:
+            h, dim = random_t2_horizontal_curve(rng), 2
+        degree = rng.randint(2, dim)
+        coefficients = [rng.randint(-2, 2) for _ in range(comb(dim, degree))]
+        coefficients[rng.randrange(len(coefficients))] = rng.choice([-1, 1])
+        form = t.TropicalForm(dim, degree, tuple(coefficients))
+        basis = [
+            {v: tuple(rng.randint(-3, 3) for _ in range(dim + 1)) for v in h.abstract.vertices}
+            for _ in range(rng.randint(degree, degree + 2))
+        ]
+        with mock.patch.object(pairing, "_deformation_basis", lambda h: basis), \
+                mock.patch.object(pairing, "deformation_basis", lambda h: basis):
+            (check,) = t.isotropy_check(h, form).checks
+            space, vectors = t.infinity_restriction(h, form)
+        assume(space.blocks)  # without ends the block form has no degree
+        values = [Fraction(part.split("=")[1]) for part in check.detail.split("; ")]
+        assert values == space.gram(vectors)
 
 
 class TestOnePassPerCall:
@@ -327,31 +387,6 @@ class TestOnePassPerCall:
         D2 = {v: (0, 1, 0) for v in t2_witness.abstract.vertices}
         t.phi_contract(t2_witness, dxdydt, [D1, D2])
         assert calls == {"validate_parametrized": 1, "deformation_constraints": 1}
-
-
-class TestOneMinorTablePerEnd:
-    """The end pairing builds one minor table per end, and every form of the
-    degree reads its Gram from it."""
-
-    @pytest.fixture
-    def tables(self, monkeypatch):
-        built = []
-        original = manifold._minor_table
-
-        def counting(rows, p):
-            built.append(p)
-            return original(rows, p)
-
-        monkeypatch.setattr(manifold, "_minor_table", counting)
-        return built
-
-    def test_isotropy_builds_each_end_table_once_for_all_forms(self, tables):
-        h = build_t3_witness()
-        tables.clear()
-        report = t.isotropy_check(h, degree=2)
-        assert report.passed and len(report.checks) == 3
-        # one table per generator of T^3 for invariant_forms, one per end
-        assert len(tables) == 3 + 3
 
 
 class TestEndsReadInOnePlace:
