@@ -14,6 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
@@ -27,7 +28,9 @@ from .manifold import (
     DeckElement,
     contains_deck,
     identity_deck,
-    reduce_point,
+    key_point,
+    point_key,
+    point_reducer,
 )
 from .report import Report
 
@@ -443,23 +446,34 @@ class ZeroCycle:
         return ZeroCycle(tuple((p, -m) for p, m in self.entries))
 
     def __add__(self, other: "ZeroCycle") -> "ZeroCycle":
-        return _combine(list(self.entries) + list(other.entries))
+        return _merge((point_key(p), m) for p, m in (*self.entries, *other.entries))
 
     def __sub__(self, other: "ZeroCycle") -> "ZeroCycle":
         return self + (-other)
 
 
-def _combine(items: Iterable[tuple[tuple, int]]) -> ZeroCycle:
+def _merge(items: Iterable[tuple[tuple[int, ...], int]]) -> ZeroCycle:
+    """The cycle of (point key, multiplicity) pairs: equal keys merge and
+    zeros drop.  Points sort on their numerators over L, the lcm of the
+    key denominators, which is the order of the points' exact values."""
     acc: dict[tuple, int] = {}
-    for p, m in items:
-        acc[p] = acc.get(p, 0) + m
-    entries = tuple(sorted((p, m) for p, m in acc.items() if m != 0))
-    return ZeroCycle(entries)
+    for key, m in items:
+        acc[key] = acc.get(key, 0) + m
+    keys = [key for key, m in acc.items() if m]
+    L = lcm(*(key[-1] for key in keys))
+
+    def order(key: tuple[int, ...]) -> list[int]:
+        s = L // key[-1]
+        return [c * s for c in key[:-1]]
+
+    keys.sort(key=order)
+    return ZeroCycle(tuple((key_point(key), acc[key]) for key in keys))
 
 
 def zero_cycle(M: AffineQuotientManifold, items: Iterable[tuple[Sequence, int]]) -> ZeroCycle:
     """Reduce points to canonical representatives, merge, and prune zeros."""
-    return _combine((reduce_point(M, p), as_int(m)) for p, m in items)
+    key = point_reducer(M)
+    return _merge((key(p), as_int(m)) for p, m in items)
 
 
 def evaluate_at_infinity(h: ParametrizedTropicalCurve) -> tuple[ZeroCycle, ZeroCycle]:

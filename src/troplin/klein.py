@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, gcd
+from math import ceil, gcd, lcm
 from typing import Sequence
 
 from .curve import INF, abstract_curve
@@ -360,9 +360,14 @@ def modification_curve(
 
 
 def albanese_class(K: AffineQuotientManifold, z: ZeroCycle) -> tuple[int, Fraction]:
-    """Degree and the integral of dx against z, modulo the period x0."""
+    """Degree and the integral of dx against z, modulo the period x0.
+
+    The sum of m x runs in integers over d, the lcm of x0's and the points'
+    x-denominators, and one Fraction is built at the end."""
     x0, _ = _require_klein(K)
-    return z.degree, sum(m * p[0] for p, m in z.entries) % x0
+    d = lcm(x0.denominator, *(p[0].denominator for p, _ in z.entries))
+    total = sum(m * p[0].numerator * (d // p[0].denominator) for p, m in z.entries)
+    return z.degree, Fraction(total % (x0.numerator * (d // x0.denominator)), d)
 
 
 def chow_equivalent(K: AffineQuotientManifold, z1: ZeroCycle, z2: ZeroCycle) -> bool:

@@ -11,11 +11,14 @@ kernels come from the Hermite normal form, which keeps them saturated.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import IrrationalData, ZeroVector
+
+_CANONICAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 class Matrix(list):
@@ -42,6 +45,9 @@ def as_fraction(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, str):
         try:
+            if _CANONICAL.fullmatch(x):  # the common "p/q", without Fraction's parser
+                n, _, d = x.partition("/")
+                return Fraction(int(n), int(d or 1))
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as exc:
             raise IrrationalData(f"cannot parse rational from {x!r}") from exc

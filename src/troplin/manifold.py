@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from math import gcd, lcm
+from typing import Callable, Sequence
 
 from . import linalg
 from .errors import (
@@ -353,28 +354,115 @@ def _lattice_matrix(M: AffineQuotientManifold) -> linalg.Matrix:
     return matrix(zip(*(g.translation for g in M.generators)))
 
 
+# A point x is handled as integers n over a denominator d > 0, x = n / d.
+# Each kind reduces such a point in integer arithmetic alone.  A point's key
+# is its reduced (n_1, ..., n_k, d) in lowest terms, so two points lie in
+# one orbit iff their keys are equal.
+
+
+def _scaled(x: Sequence, base: int) -> tuple[list[int], int]:
+    """x as integers over d, the lcm of base and x's denominators."""
+    q = [c if type(c) is int or type(c) is Fraction else as_fraction(c) for c in x]
+    dens = [c.denominator for c in q]
+    d = lcm(base, *dens)
+    return [c.numerator * (d // e) for c, e in zip(q, dens)], d
+
+
+def _torus_reduction(M: AffineQuotientManifold) -> Callable:
+    """x -> V (V^-1 x mod 1) for the lattice matrix V = A / a, A integral.
+
+    V^-1 = a adj(A) / det(A), with the adjugate read off one table of
+    (n-1) x (n-1) minors of A, so no point needs an elimination.
+    """
+    a = lcm(*(c.denominator for g in M.generators for c in g.translation))
+    A = [[as_int(c * a) for c in row] for row in _lattice_matrix(M)]
+    dim = M.dim
+    minors = _minor_table(A, dim - 1)
+
+    def cofactor(i: int, j: int) -> int:
+        rest = tuple(r for r in range(dim) if r != i), tuple(c for c in range(dim) if c != j)
+        return (-1) ** (i + j) * minors[rest]
+
+    det = sum(A[0][j] * cofactor(0, j) for j in range(dim))
+    sign = 1 if det > 0 else -1
+    W = [[sign * a * cofactor(j, i) for j in range(dim)] for i in range(dim)]  # V^-1 = W / |det|
+
+    def reduce(n: list[int], d: int) -> tuple[list[int], int]:
+        q = abs(det) * d
+        r = [sum(w * c for w, c in zip(row, n)) % q for row in W]
+        return [sum(v * c for v, c in zip(row, r)) for row in A], a * q
+
+    return reduce
+
+
+def _integer_reduction(M: AffineQuotientManifold) -> tuple[int, Callable]:
+    """(D, f): for a point n / d of M with D dividing d, f(n, d) = (n', d')
+    where n' / d' is its canonical representative and d divides d'."""
+    if M.kind == KIND_EUCLIDEAN:
+        return 1, lambda n, d: (n, d)
+    if M.kind == KIND_TORUS:
+        return 1, _torus_reduction(M)
+    if M.kind == KIND_KLEIN:
+        x0, y0 = M.klein_params
+
+        def klein(n: list[int], d: int) -> tuple[list[int], int]:
+            k, x = divmod(n[0], x0.numerator * (d // x0.denominator))
+            y = -n[1] if k & 1 else n[1]  # an odd number of b's flips y
+            return [x, y % (y0.numerator * (d // y0.denominator))], d
+
+        return lcm(x0.denominator, y0.denominator), klein
+    if M.kind == KIND_PRODUCT:
+        D, base = _integer_reduction(M.base)
+
+        def product(n: list[int], d: int) -> tuple[list[int], int]:
+            nb, e = base(n[:-1], d)
+            return nb + [n[-1] * (e // d)], e
+
+        return D, product
+
+    def unsupported(n: list[int], d: int):
+        raise UnsupportedManifoldKind(f"no canonical representative for kind {M.kind!r}")
+
+    return 1, unsupported
+
+
+def point_key(x: Sequence) -> tuple[int, ...]:
+    """The key (n_1, ..., n_k, d) of an exact point as it stands, unreduced."""
+    n, d = _scaled(x, 1)  # over the least common denominator: lowest terms already
+    return (*n, d)
+
+
+def key_point(key: Sequence[int]) -> tuple:
+    """The exact vector n / d of a key, with ints where integral."""
+    d = key[-1]
+    return tuple([c // d if c % d == 0 else Fraction(c, d) for c in key[:-1]])
+
+
+def point_reducer(M: AffineQuotientManifold) -> Callable[[Sequence], tuple[int, ...]]:
+    """The function sending a point of M to the key of its canonical
+    representative.  Supported for euclidean, torus and klein kinds and
+    products of those with a line; the torus inverse is built once here."""
+    D, reduce = _integer_reduction(M)
+
+    def key(x: Sequence) -> tuple[int, ...]:
+        n, d = _scaled(x, D)
+        if len(n) != M.dim:
+            raise ValueError("point dimension mismatch")
+        n, d = reduce(n, d)
+        n.append(d)
+        g = gcd(*n)
+        return tuple([c // g for c in n])
+
+    return key
+
+
 def reduce_point(M: AffineQuotientManifold, x: Sequence) -> tuple:
     """Canonical fundamental-domain representative of the orbit of x.
 
     Two points reduce equal iff they lie in the same deck orbit.  Supported
     for euclidean, torus and klein kinds and products of those with a line.
     """
-    x = vector(x)
-    if len(x) != M.dim:
-        raise ValueError("point dimension mismatch")
-    if M.kind == KIND_EUCLIDEAN:
-        return x
-    if M.kind == KIND_TORUS:
-        V = _lattice_matrix(M)
-        return vector(linalg.mat_vec(V, [c % 1 for c in linalg.solve_rational(V, x)]))
-    if M.kind == KIND_KLEIN:
-        x0, y0 = M.klein_params
-        k, xb = divmod(x[0], x0)
-        sign = 1 - 2 * (k % 2)  # an odd number of b's flips y
-        return vector([xb, (sign * x[1]) % y0])
-    if M.kind == KIND_PRODUCT:
-        return reduce_point(M.base, x[:-1]) + x[-1:]
-    raise UnsupportedManifoldKind(f"no canonical representative for kind {M.kind!r}")
+    return key_point(point_reducer(M)(x))
 
 
 def contains_deck(M: AffineQuotientManifold, g: DeckElement) -> bool | None:

@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -211,3 +212,51 @@ def random_t2_horizontal_curve(rng: random.Random, max_vertices: int = 8):
         divisor.append((spot + klass, -1))
     f = t.principal_function(c, divisor)
     return t.modification_curve(circle, f)
+
+
+# ---------------------------------------------------------------------------
+# 0-cycles on every manifold kind with canonical points
+
+_BASES = [
+    t.make_klein(2, 3),
+    t.make_klein(Fraction(3, 2), Fraction(5, 3)),
+    t.make_torus([(1, 0), (0, 1)]),
+    t.make_torus([(2, 1), (-1, Fraction(3, 2))]),
+    t.make_torus([(-1, Fraction(3, 2)), (2, 1)]),  # the same lattice, negatively oriented
+    t.make_euclidean(2),
+]
+CYCLE_MANIFOLDS = _BASES + [t.product_with_line(M) for M in _BASES]
+PRIMES = [p for p in range(2, 2000) if all(p % q for q in range(2, int(p**0.5) + 1))]
+PERIODS = [1, 2, 3, Fraction(3, 2), Fraction(5, 3)]
+
+
+@st.composite
+def exact_coordinates(draw):
+    """An int, Fraction or "p/q" string: small grids, negative values, many
+    distinct prime denominators, and multiples of half a period."""
+    value = draw(st.one_of(
+        st.integers(-40, 40).map(Fraction),
+        st.builds(Fraction, st.integers(-400, 400), st.integers(1, 12)),
+        st.builds(Fraction, st.integers(-10**6, 10**6), st.sampled_from(PRIMES)),
+        st.builds(lambda k, c: Fraction(k, 2) * c, st.integers(-9, 9), st.sampled_from(PERIODS)),
+    ))
+    form = draw(st.sampled_from(["fraction", "string", "int"]))
+    if form == "string":
+        return str(value)
+    return int(value) if form == "int" and value.denominator == 1 else value
+
+
+@st.composite
+def cycle_items(draw, M):
+    """(point, multiplicity) pairs on M, some of them cancelled by a later pair."""
+    points = draw(st.lists(st.tuples(*[exact_coordinates()] * M.dim), max_size=12))
+    items = [(p, draw(st.integers(-3, 3))) for p in points]
+    cancelled = draw(st.lists(st.sampled_from(items), max_size=4)) if items else []
+    return items + [(p, -m) for p, m in cancelled]
+
+
+def manifold_with_cycles(manifolds, count=1):
+    """A manifold drawn from ``manifolds`` and ``count`` item lists on it."""
+    return st.sampled_from(manifolds).flatmap(
+        lambda M: st.tuples(st.just(M), *[cycle_items(M)] * count)
+    )

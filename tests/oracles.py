@@ -6,13 +6,13 @@ row reduction for ranks and nullities, Leibniz determinants and the
 tuple-by-tuple evaluation of forms, lattice membership by determinantal
 divisors, minor-based deformation constraints, brute-force orbit
 enumeration on the Klein deck group, an arc-by-arc walk for functions on
-a circle, and the all-pairs, elimination-based euclidean embeddedness
-check.
+a circle, the all-pairs, elimination-based euclidean embeddedness check,
+and 0-cycles built point by point in Fractions.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, gcd, prod
+from math import comb, floor, gcd, prod
 
 INF = float("inf")
 
@@ -302,3 +302,36 @@ def embeddedness_oracle(h):
             if pt not in allowed:
                 overlaps.append(f"{e.id} and {f.id} meet at {pt} away from a shared vertex")
     return pairs, "; ".join(overlaps)
+
+
+def reduce_point_oracle(M, x):
+    """Canonical representative of x by Fraction arithmetic, read off the
+    manifold's fields: a torus point through its lattice coordinates mod 1,
+    a Klein point by the floor of x / x0 and the parity it gives."""
+    x = [Fraction(c) for c in x]
+    if len(x) != M.dim:
+        raise ValueError("point dimension mismatch")
+    if M.kind == "product_with_line":
+        return reduce_point_oracle(M.base, x[:-1]) + _point(x[-1:])
+    if M.kind == "torus":
+        V = [[g.translation[i] for g in M.generators] for i in range(M.dim)]
+        c = [ci - floor(ci) for ci in solve_oracle(V, x)]
+        x = [sum(Fraction(v) * cj for v, cj in zip(row, c)) for row in V]
+    elif M.kind == "klein":
+        x0, y0 = (Fraction(c) for c in M.klein_params)
+        k = floor(x[0] / x0)
+        y = -x[1] if k % 2 else x[1]
+        x = [x[0] - k * x0, y - floor(y / y0) * y0]
+    elif M.kind != "euclidean":
+        raise ValueError(f"no oracle reduction for kind {M.kind!r}")
+    return _point(x)
+
+
+def zero_cycle_oracle(M, items):
+    """The entries of the 0-cycle of (point, multiplicity) pairs: reduce each
+    point, merge in a dict, drop zeros, sort the Fraction tuples."""
+    acc = {}
+    for p, m in items:
+        q = reduce_point_oracle(M, p)
+        acc[q] = acc.get(q, 0) + m
+    return tuple(sorted((p, m) for p, m in acc.items() if m))

@@ -8,8 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_t2_cycle, build_t3_witness, random_t2_horizontal_curve
-from oracles import deformation_nullity_minor_oracle, embeddedness_oracle
+from conftest import (
+    CYCLE_MANIFOLDS,
+    build_t2_cycle,
+    build_t3_witness,
+    manifold_with_cycles,
+    random_t2_horizontal_curve,
+)
+from oracles import (
+    deformation_nullity_minor_oracle,
+    embeddedness_oracle,
+    reduce_point_oracle,
+    zero_cycle_oracle,
+)
 
 import troplin as t
 from troplin.embedded import _intersecting_edge_pairs, balancing_residual
@@ -439,3 +450,32 @@ class TestZeroCycle:
         assert (z1 + z2).degree == 3
         assert (z1 - z1).is_empty()
         assert (-z2).multiplicity((1, 1)) == -2
+
+    @given(manifold_with_cycles(CYCLE_MANIFOLDS))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_fraction_oracle(self, case):
+        """Points, multiplicities and value types all equal the point-by-point
+        Fraction reduction, merge and sort."""
+        M, items = case
+        assert repr(t.zero_cycle(M, items).entries) == repr(zero_cycle_oracle(M, items))
+        for p, _ in items:
+            assert repr(t.reduce_point(M, p)) == repr(reduce_point_oracle(M, p))
+
+    @given(manifold_with_cycles(CYCLE_MANIFOLDS, count=2))
+    @settings(max_examples=80, deadline=None)
+    def test_sum_and_difference_match_the_oracle(self, case):
+        M, items1, items2 = case
+        z1, z2 = t.zero_cycle(M, items1), t.zero_cycle(M, items2)
+        negated = [(p, -m) for p, m in items2]
+        assert repr((z1 + z2).entries) == repr(zero_cycle_oracle(M, items1 + items2))
+        assert repr((z1 - z2).entries) == repr(zero_cycle_oracle(M, items1 + negated))
+
+    def test_empty_cycle_on_a_general_manifold(self):
+        general = AffineQuotientManifold(2, (), (), KIND_GENERAL)
+        assert t.zero_cycle(general, []) == t.ZeroCycle(())
+        with pytest.raises(t.UnsupportedManifoldKind):
+            t.zero_cycle(general, [((0, 0), 1)])
+
+    def test_wrong_length_point(self, klein23):
+        with pytest.raises(ValueError, match="point dimension mismatch"):
+            t.zero_cycle(klein23, [((0, 0), 1), ((0, 0, 0), 1)])

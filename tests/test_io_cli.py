@@ -374,6 +374,11 @@ class TestMalformedInputExits1:
         torus = _write_doc(tmp_path, io.manifold_json(t.make_torus([(4, 0), (0, 4)])))
         self.assert_usage_error(capsys, "albanese", torus, _data("zp.json"))
 
+    def test_wrong_length_point(self, tmp_path, capsys):
+        cycle = _write_doc(tmp_path, [{"point": ["1", "2", "3"], "mult": 1}])
+        assert run_cli("albanese", _data("klein.json"), cycle) == 1
+        assert capsys.readouterr().err.strip() == "error: point dimension mismatch"
+
     def test_unknown_manifold_kind(self, tmp_path, capsys):
         sphere = _write_doc(tmp_path, {"kind": "sphere", "dim": 2, "generators": []})
         self.assert_usage_error(capsys, "forms", "-p", "1", sphere)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CYCLE_MANIFOLDS, manifold_with_cycles
 from oracles import circle_function_oracle, klein_fiber_circumference_oracle
 
 import troplin as t
@@ -267,6 +268,15 @@ class TestAlbaneseClass:
         p = (Fraction(1, 3), Fraction(5, 4))
         z = t.zero_cycle(klein23, [(p, 1), (t.iota(klein23, p), -1)])
         assert t.albanese_class(klein23, z) == (0, 0)
+
+    @given(manifold_with_cycles([M for M in CYCLE_MANIFOLDS if M.kind == "klein"]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_a_fraction_sum(self, case):
+        K, items = case
+        z = t.zero_cycle(K, items)
+        x0 = K.klein_params[0]
+        total = sum((m * Fraction(p[0]) for p, m in z.entries), Fraction(0))
+        assert repr(t.albanese_class(K, z)) == repr((z.degree, total % x0))
 
 
 class TestChowEquivalence:

@@ -8,7 +8,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -22,9 +22,10 @@ from oracles import (
 )
 
 from troplin import linalg
-from troplin.errors import ZeroVector
+from troplin.errors import IrrationalData, ZeroVector
 from troplin.linalg import (
     Matrix,
+    as_fraction,
     det,
     hermite_normal_form,
     in_integer_span,
@@ -290,3 +291,32 @@ class TestEliminationCore:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                 env={"PYTHONPATH": str(src)}, check=True)
         assert result.stdout.strip() == "False"
+
+
+class TestAsFraction:
+    @given(st.one_of(
+        st.from_regex(r"-?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True),
+        st.text(alphabet="0123456789-+/ _.e\u0663x", max_size=10),
+    ))
+    @example(" 2")
+    @example("+3")
+    @example("1_000")
+    @example("1.5")
+    @example("1e3")
+    @example("3/0")
+    @example("--1")
+    @example("-0/5")
+    @example("\u0663")  # ARABIC-INDIC DIGIT THREE
+    @example("9" * 5000)  # beyond the interpreter's int-string limit
+    @settings(max_examples=400, deadline=None)
+    def test_strings_parse_as_fraction_does(self, s):
+        """The fast path for canonical "p/q" strings accepts, returns and
+        refuses exactly what Fraction's own parser does."""
+        try:
+            expected = Fraction(s)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(IrrationalData) as info:
+                as_fraction(s)
+            assert type(info.value.__cause__) is type(exc)
+        else:
+            assert repr(as_fraction(s)) == repr(expected)

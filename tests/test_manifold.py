@@ -276,6 +276,16 @@ class TestReducePoint:
         E = t.make_euclidean(2)
         assert t.reduce_point(E, (Fraction(9, 7), -3)) == (Fraction(9, 7), -3)
 
+    def test_torus_reduction_solves_nothing(self, monkeypatch):
+        """The lattice inverse is an adjugate, so no point is eliminated."""
+        calls = []
+        solve = t.linalg.solve_rational
+        monkeypatch.setattr(t.linalg, "solve_rational", lambda *a: calls.append(a) or solve(*a))
+        T = t.make_torus([(2, 1), (-1, Fraction(3, 2))])
+        assert t.reduce_point(T, (Fraction(7, 3), -5)) == (Fraction(1, 3), 2)
+        assert t.zero_cycle(T, [((k, -k), 1) for k in range(20)]).degree == 20
+        assert calls == []
+
     def test_general_unsupported(self):
         M = t.AffineQuotientManifold(2, (), (), "general")
         with pytest.raises(UnsupportedManifoldKind):
