@@ -26,7 +26,7 @@ from .manifold import (
     KIND_PRODUCT,
     AffineQuotientManifold,
     DeckElement,
-    contains_deck,
+    deck_membership,
     identity_deck,
     key_point,
     point_key,
@@ -255,8 +255,9 @@ def validate_parametrized(h: ParametrizedTropicalCurve) -> Report:
         return report
 
     unknown, undecided = [], []
+    in_group = deck_membership(h.manifold)
     for e in h.abstract.edges:
-        member = contains_deck(h.manifold, h.data(e.id).deck)
+        member = in_group(h.data(e.id).deck)
         if member is False:
             unknown.append(f"{e.id}: deck element not in the group")
         elif member is None:

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import mul
 from typing import Callable, Sequence
 
 from . import linalg
@@ -240,26 +241,106 @@ def p_subsets(n: int, p: int) -> list[tuple[int, ...]]:
     return list(combinations(range(n), p))
 
 
-def _minor_table(rows: Sequence[Sequence], p: int) -> dict:
-    """Every p x p minor of a matrix, keyed by (row subset, column subset).
+def _batched_minors(columns: Sequence[Sequence[Sequence[int]]], nrows: int, p: int,
+                    size: int) -> dict:
+    """Every p x p minor of ``size`` matrices of one shape, keyed by (row
+    subset, column subset); ``columns[j][a]`` holds entry (a, j) of every
+    matrix, and each minor is a list with one value per matrix.
 
     Built level by level for q = 1..p: Laplace expansion along the last
     column writes a q x q minor as a signed sum of q products of an entry
     with a (q-1) x (q-1) minor, and only the previous level is kept.
     """
-    ncols = len(rows[0]) if rows else 0
-    level = {((), ()): 1}
+    level = {((), ()): [1] * size}
     for q in range(1, p + 1):
-        level = {
-            (T, S): sum(
-                (-1) ** (q - 1 - i) * rows[t][S[-1]] * level[T[:i] + T[i + 1 :], S[:-1]]
-                for i, t in enumerate(T)
-                if rows[t][S[-1]]
-            )
-            for T in combinations(range(len(rows)), q)
-            for S in combinations(range(ncols), q)
-        }
+        nxt = {}
+        for T in combinations(range(nrows), q):
+            for S in combinations(range(len(columns)), q):
+                minor = [0] * size
+                for i, t in enumerate(T):
+                    entries = columns[S[-1]][t]
+                    if any(entries):
+                        sign = -1 if (q - 1 - i) % 2 else 1
+                        rest = level[T[:i] + T[i + 1 :], S[:-1]]
+                        minor = [m + sign * x * y for m, x, y in zip(minor, entries, rest)]
+                nxt[T, S] = minor
+        level = nxt
     return level
+
+
+def _minor_table(rows: Sequence[Sequence], p: int) -> dict:
+    """Every p x p minor of a matrix, keyed by (row subset, column subset)."""
+    columns = [[(x,) for x in column] for column in zip(*rows)]
+    return {key: m for key, (m,) in _batched_minors(columns, len(rows), p, 1).items()}
+
+
+def _signed_gram(terms: Sequence[tuple], degree: int, count: int) -> list:
+    """The sum of c * form over (c, form, vectors) terms, each with ``count``
+    exact vectors and a form of the given degree, on every degree-subset of
+    the vector indices in lexicographic order; ints where integral.
+
+    Vector index j is scaled to integers once, by the lcm s_j of its
+    denominators across all terms, so the value on a subset S is an integer
+    over the product of s_j for j in S, divided only when emitted.  Terms
+    with one form share one Laplace recursion (``_batched_minors``), batched
+    over lists with one entry per term, up to degree - 1; the last level,
+    contracted with c * form, is one dot product per subset.
+    """
+    for _, form, vecs in terms:
+        if len(vecs) != count or any(len(v) != form.dim for v in vecs):
+            raise ValueError("vector dimension mismatch")
+    if degree == 0:
+        return [sum(c * form.coefficients[0] for c, form, _ in terms)]
+    subsets = p_subsets(count, degree)
+    if not subsets:
+        return []
+    scales = [lcm(*(x.denominator for _, _, vecs in terms for x in vecs[j])) for j in range(count)]
+    groups: dict = {}
+    for c, form, vecs in terms:
+        if c:
+            groups.setdefault(form, []).append((c, vecs))
+    total = [0] * len(subsets)
+    for form, group in groups.items():
+        n = form.dim
+        columns = []  # columns[j][a]: coordinate a of vector j times s_j, one entry per term
+        for j, s in enumerate(scales):
+            rows = [[x.numerator * (s // x.denominator) for x in vecs[j]] for _, vecs in group]
+            columns.append([[row[a] for row in rows] for a in range(n)])
+        minors = _batched_minors(columns, n, degree - 1, len(group))
+        heads = p_subsets(n, degree - 1)
+        coefficients = dict(zip(p_subsets(n, degree), form.coefficients))
+        # The last Laplace level: row a joins the minor on rows R, signed by
+        # its place in T = R + (a,).
+        fold = []
+        for R in heads:
+            entries = []
+            for a in range(n):
+                if a not in R:
+                    T = tuple(sorted(R + (a,)))
+                    w = coefficients[T] * (-1) ** (degree - 1 - T.index(a))
+                    if w:
+                        entries.append((a, w))
+            fold.append(entries)
+        cs = [c for c, _ in group]
+        last = []  # per vector s: c * form contracted with s, over every R and term
+        for column in columns:
+            row = []
+            for entries in fold:
+                acc = [0] * len(cs)
+                for a, w in entries:
+                    acc = [y + w * x for y, x in zip(acc, column[a])]
+                row += map(mul, cs, acc)
+            last.append(row)
+        rest = {S: [m for R in heads for m in minors[R, S]] for S in p_subsets(count, degree - 1)}
+        total = [v + sum(map(mul, last[S[-1]], rest[S[:-1]])) for v, S in zip(total, subsets)]
+    if all(s == 1 for s in scales):
+        return total
+    values = []
+    for v, S in zip(total, subsets):
+        d = prod(scales[j] for j in S)
+        q, r = divmod(v, d)
+        values.append(Fraction(v, d) if r else q)
+    return values
 
 
 @dataclass(frozen=True)
@@ -284,11 +365,7 @@ class TropicalForm:
     def gram(self, vectors: Sequence[Sequence]) -> list:
         """The value on every degree-subset of the vectors, in lexicographic order."""
         vecs = [vector(v) for v in vectors]
-        if any(len(v) != self.dim for v in vecs):
-            raise ValueError("vector dimension mismatch")
-        minors = _minor_table([[v[i] for v in vecs] for i in range(self.dim)], self.degree)
-        terms = [(c, T) for c, T in zip(self.coefficients, p_subsets(self.dim, self.degree)) if c]
-        return [sum(c * minors[T, S] for c, T in terms) for S in p_subsets(len(vecs), self.degree)]
+        return _signed_gram([(1, self, vecs)], self.degree, len(vecs))
 
     def evaluate(self, vectors: Sequence[Sequence]) -> Fraction:
         """The value on degree-many tangent vectors."""
@@ -349,11 +426,6 @@ def albanese_data(M: AffineQuotientManifold) -> AlbaneseData:
 # Canonical representatives
 
 
-def _lattice_matrix(M: AffineQuotientManifold) -> linalg.Matrix:
-    """The matrix whose columns are the translations of a torus."""
-    return matrix(zip(*(g.translation for g in M.generators)))
-
-
 # A point x is handled as integers n over a denominator d > 0, x = n / d.
 # Each kind reduces such a point in integer arithmetic alone.  A point's key
 # is its reduced (n_1, ..., n_k, d) in lowest terms, so two points lie in
@@ -375,7 +447,7 @@ def _torus_reduction(M: AffineQuotientManifold) -> Callable:
     (n-1) x (n-1) minors of A, so no point needs an elimination.
     """
     a = lcm(*(c.denominator for g in M.generators for c in g.translation))
-    A = [[as_int(c * a) for c in row] for row in _lattice_matrix(M)]
+    A = [[as_int(c * a) for c in row] for row in zip(*(g.translation for g in M.generators))]
     dim = M.dim
     minors = _minor_table(A, dim - 1)
 
@@ -468,30 +540,47 @@ def reduce_point(M: AffineQuotientManifold, x: Sequence) -> tuple:
 def contains_deck(M: AffineQuotientManifold, g: DeckElement) -> bool | None:
     """Whether g belongs to the deck group; None if undecidable (general kind,
     other than the identity)."""
-    return g.dim == M.dim and _contains(M, g.linear, g.translation)
+    return deck_membership(M)(g)
 
 
-def _contains(M: AffineQuotientManifold, A: tuple, t: tuple) -> bool | None:
+def deck_membership(M: AffineQuotientManifold) -> Callable[[DeckElement], bool | None]:
+    """``contains_deck`` for M as one predicate, with the torus reduction
+    built once: a translation lies in the lattice iff it reduces to 0."""
+    member = _membership(M)
+    return lambda g: g.dim == M.dim and member(g.linear, g.translation)
+
+
+def _membership(M: AffineQuotientManifold) -> Callable[[tuple, tuple], bool | None]:
     """``contains_deck`` on the linear part and translation of a valid deck
     element of M's dimension, without building one."""
     identity = _identity(M.dim)
     if M.kind == KIND_TORUS:
-        return A == identity and not any(
-            c % 1 for c in linalg.solve_rational(_lattice_matrix(M), t)
-        )
+        reduce = _torus_reduction(M)
+        return lambda A, t: A == identity and not any(reduce(*_scaled(t, 1))[0])
     if M.kind == KIND_KLEIN:
         x0, y0 = M.klein_params
-        k, tx = divmod(t[0], x0)
-        sign = 1 - 2 * (k % 2)  # b^k flips y exactly when k is odd
-        return not tx and not t[1] % y0 and A == ((1, 0), (0, sign))
+
+        def klein(A: tuple, t: tuple) -> bool:
+            k, tx = divmod(t[0], x0)
+            sign = 1 - 2 * (k % 2)  # b^k flips y exactly when k is odd
+            return not tx and not t[1] % y0 and A == ((1, 0), (0, sign))
+
+        return klein
     if M.kind == KIND_PRODUCT:
-        if t[-1] != 0 or A[-1] != identity[-1] or any(row[-1] for row in A[:-1]):
-            return False
-        return _contains(M.base, tuple(row[:-1] for row in A[:-1]), t[:-1])
-    is_identity = A == identity and not any(t)
-    if M.kind == KIND_EUCLIDEAN or is_identity:
-        return is_identity
-    return None
+        base = _membership(M.base)
+
+        def product(A: tuple, t: tuple) -> bool | None:
+            if t[-1] != 0 or A[-1] != identity[-1] or any(row[-1] for row in A[:-1]):
+                return False
+            return base(tuple(row[:-1] for row in A[:-1]), t[:-1])
+
+        return product
+
+    def other(A: tuple, t: tuple) -> bool | None:
+        is_identity = A == identity and not any(t)
+        return is_identity if M.kind == KIND_EUCLIDEAN or is_identity else None
+
+    return other
 
 
 def require_invariant(M: AffineQuotientManifold, form: TropicalForm) -> None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -27,9 +26,15 @@ from .embedded import (
     horizontal_ends,
     require_valid_parametrized,
 )
-from .errors import DimensionMismatch, NotADeformation
-from .linalg import matrix, vector
-from .manifold import TropicalForm, invariant_forms, p_subsets, require_invariant
+from .errors import DimensionMismatch, InputError, NotADeformation
+from .linalg import vector
+from .manifold import (
+    TropicalForm,
+    _signed_gram,
+    invariant_forms,
+    p_subsets,
+    require_invariant,
+)
 from .report import Report
 
 
@@ -91,19 +96,10 @@ def end_evaluation(
     if len(deformations) != omega_tilde.degree:
         raise ValueError(f"expected {omega_tilde.degree} deformations")
     terms = [
-        (sign * weight, omega_tilde, [D[tail][:-1] for D in deformations])
+        (sign * weight, omega_tilde, [vector(D[tail][:-1]) for D in deformations])
         for sign, weight, tail in ends
     ]
     return Fraction(_signed_gram(terms, omega_tilde.degree, len(deformations))[0])
-
-
-def _signed_gram(terms, degree: int, count: int) -> list:
-    """Sum of c * form.gram(vectors) over (c, form, vectors) terms: a signed
-    form on every degree-subset of ``count`` vectors, in lexicographic order."""
-    total = [0] * comb(count, degree)
-    for c, form, vectors in terms:
-        total = [a + c * b for a, b in zip(total, form.gram(vectors))]
-    return total
 
 
 def isotropy_check(
@@ -219,18 +215,16 @@ class RoitmanResult:
 
 
 def roitman_bound_check(space: GradedSpace, W: Sequence[Sequence]) -> RoitmanResult:
-    """Decide isotropy of span(W) and compare its dimension to dim V - m."""
-    total = space.total_dimension
+    """Decide isotropy of span(W) and compare its dimension to dim V - m.
+
+    The form vanishes on span(W) iff it vanishes on every degree-subset of
+    W: by multilinearity its value on vectors of the span is a combination
+    of its values on tuples of W, which alternation reduces to subsets.
+    """
     rows = [vector(w) for w in W]
-    _require_length(rows, total)
-    if rows:
-        R, pivots = linalg.rref(matrix(rows))
-        span = [vector(R[i]) for i in range(len(pivots))]
-    else:
-        span = []
-    isotropic = not any(space.gram(span))
-    bound = total - len(space.blocks)
-    dim_w = len(span)
+    isotropic = not any(space.gram(rows))
+    dim_w = linalg.rank(rows)
+    bound = space.total_dimension - len(space.blocks)
     return RoitmanResult(isotropic, dim_w, bound, isotropic and dim_w <= bound)
 
 
@@ -239,8 +233,11 @@ def infinity_restriction(
 ) -> tuple[GradedSpace, list[tuple]]:
     """The graded space of end copies (one block per unit of weight, signed
     by the end's direction) together with the end restrictions of the
-    deformation basis of h."""
+    deformation basis of h.  A curve without ends has no end copies and
+    raises ``InputError``."""
     base, ends = horizontal_ends(h)
+    if not ends:
+        raise InputError("the curve has no infinite ends, so there are no end copies")
     require_invariant(base, omega_tilde)
     copies = [(sign, tail) for sign, weight, tail in ends for _ in range(weight)]
     space = GradedSpace(tuple(Block(base.dim, sign, omega_tilde) for sign, _ in copies))

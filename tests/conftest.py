@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import Phase
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -214,6 +215,26 @@ def random_t2_horizontal_curve(rng: random.Random, max_vertices: int = 8):
     return t.modification_curve(circle, f)
 
 
+def t2_modification(rng: random.Random, breakpoints: int, direction):
+    """A circle modification in T^2 x R with ``breakpoints`` ends of weight 1.
+
+    The circle of circumference 4 has 256 slots of length 1/64; the divisor
+    takes multiplicities +1, +1, -1, -1, ... on seeded slots in circle
+    order, the last slot chosen to make its class vanish.
+    """
+    T = t.make_torus([(4, 0), (0, 4)])
+    c = 4
+    circle = t.circle_embedding(T, (0, 0), direction, c,
+                                translation_deck((-c * direction[0], -c * direction[1])))
+    mults = [1 if i % 4 < 2 else -1 for i in range(breakpoints)]
+    while True:
+        spots = sorted(Fraction(s, 64) for s in rng.sample(range(64 * c), breakpoints - 1))
+        last = (-sum(m * s for m, s in zip(mults, spots)) / mults[-1]) % c
+        if last > spots[-1]:
+            divisor = list(zip(spots + [last], mults))
+            return t.modification_curve(circle, t.principal_function(c, divisor))
+
+
 # ---------------------------------------------------------------------------
 # 0-cycles on every manifold kind with canonical points
 
@@ -230,33 +251,54 @@ PRIMES = [p for p in range(2, 2000) if all(p % q for q in range(2, int(p**0.5) +
 PERIODS = [1, 2, 3, Fraction(3, 2), Fraction(5, 3)]
 
 
-@st.composite
-def exact_coordinates(draw):
-    """An int, Fraction or "p/q" string: small grids, negative values, many
-    distinct prime denominators, and multiples of half a period."""
-    value = draw(st.one_of(
-        st.integers(-40, 40).map(Fraction),
-        st.builds(Fraction, st.integers(-400, 400), st.integers(1, 12)),
-        st.builds(Fraction, st.integers(-10**6, 10**6), st.sampled_from(PRIMES)),
-        st.builds(lambda k, c: Fraction(k, 2) * c, st.integers(-9, 9), st.sampled_from(PERIODS)),
-    ))
-    form = draw(st.sampled_from(["fraction", "string", "int"]))
+def _exact_form(value: Fraction, form: str):
     if form == "string":
         return str(value)
     return int(value) if form == "int" and value.denominator == 1 else value
 
 
-@st.composite
-def cycle_items(draw, M):
-    """(point, multiplicity) pairs on M, some of them cancelled by a later pair."""
-    points = draw(st.lists(st.tuples(*[exact_coordinates()] * M.dim), max_size=12))
-    items = [(p, draw(st.integers(-3, 3))) for p in points]
-    cancelled = draw(st.lists(st.sampled_from(items), max_size=4)) if items else []
-    return items + [(p, -m) for p, m in cancelled]
+# An int, Fraction or "p/q" string: small grids, negative values, many
+# distinct prime denominators, and multiples of half a period.  Strategies
+# are built once here: building them inside a draw costs more than the draw.
+EXACT_COORDINATE = st.builds(
+    _exact_form,
+    st.one_of(
+        st.integers(-40, 40).map(Fraction),
+        st.builds(Fraction, st.integers(-400, 400), st.integers(1, 12)),
+        st.builds(Fraction, st.integers(-10**6, 10**6), st.sampled_from(PRIMES)),
+        st.builds(lambda k, c: Fraction(k, 2) * c, st.integers(-9, 9), st.sampled_from(PERIODS)),
+    ),
+    st.sampled_from(["fraction", "string", "int"]),
+)
+
+
+def _cancel_some(drawn):
+    """Drawn (point, multiplicity) pairs, then the pairs at the drawn indices
+    again with opposite multiplicity."""
+    items, indices = drawn
+    return items + [(items[i % len(items)][0], -items[i % len(items)][1])
+                    for i in indices if items]
+
+
+def _cycle_items(dim: int):
+    """(point, multiplicity) pairs in dimension ``dim``, some of them
+    cancelled by a later pair.  The cancellations are indices into the drawn
+    pairs, not draws from them, so the shape of an example never depends on
+    earlier values and a failing one shrinks coordinate by coordinate."""
+    item = st.tuples(st.tuples(*[EXACT_COORDINATE] * dim), st.integers(-3, 3))
+    return st.tuples(st.lists(item, max_size=12),
+                     st.lists(st.integers(0, 11), max_size=4)).map(_cancel_some)
+
+
+# Phases for the cycle properties.  Hypothesis's explain phase replays a
+# failing cycle example hundreds of times under coverage tracing, which took
+# most of the time to fail (19 of 24 s on a broken Klein parity); finding
+# and shrinking the failure do not need it.
+CYCLE_PHASES = tuple(p for p in Phase if p is not Phase.explain)
 
 
 def manifold_with_cycles(manifolds, count=1):
-    """A manifold drawn from ``manifolds`` and ``count`` item lists on it."""
-    return st.sampled_from(manifolds).flatmap(
-        lambda M: st.tuples(st.just(M), *[cycle_items(M)] * count)
-    )
+    """A manifold drawn from ``manifolds`` and ``count`` item lists on it:
+    one branch per manifold rather than a ``flatmap``, which shrinks poorly."""
+    return st.one_of(*[st.tuples(st.just(M), *[_cycle_items(M.dim)] * count)
+                       for M in manifolds])

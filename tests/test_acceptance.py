@@ -18,6 +18,7 @@ from conftest import (
     build_t2_witness,
     random_abstract_curve,
     random_t2_horizontal_curve,
+    t2_modification,
 )
 from oracles import (
     deformation_nullity_minor_oracle,
@@ -118,6 +119,10 @@ def test_criterion_5_roitman_bound(fuzzed_horizontal_curves):
     started = time.perf_counter()
     witness = build_t2_witness()
     for h in [witness] + fuzzed_horizontal_curves:
+        if not h.abstract.infinite_edges():  # an empty divisor: no end copies
+            with pytest.raises(t.InputError):
+                t.infinity_restriction(h, AREA)
+            continue
         space, vectors = t.infinity_restriction(h, AREA)
         result = t.roitman_bound_check(space, vectors)
         assert result.isotropic
@@ -222,3 +227,15 @@ def test_criterion_8_abel_consistency():
     assert principal == 500
     report(8, "500 fuzzed divisors: principal iff class 0; boundary = pushed divisor",
            started)
+
+
+def test_criterion_9_end_pairing_at_128_breakpoints():
+    h = t2_modification(random.Random(128), 128, (1, 0))
+    space, vectors = t.infinity_restriction(h, AREA)
+    started = time.perf_counter()
+    assert t.isotropy_check(h, AREA).passed
+    result = t.roitman_bound_check(space, vectors)
+    assert result.isotropic and result.satisfied
+    assert (result.dim_W, result.bound) == (128, 128)
+    report(9, "128 breakpoints on T^2: all 8256 wedge pairs 0, end rank 128 = bound",
+           started, 1.5)

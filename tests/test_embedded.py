@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     CYCLE_MANIFOLDS,
+    CYCLE_PHASES,
     build_t2_cycle,
     build_t3_witness,
     manifold_with_cycles,
@@ -452,7 +453,7 @@ class TestZeroCycle:
         assert (-z2).multiplicity((1, 1)) == -2
 
     @given(manifold_with_cycles(CYCLE_MANIFOLDS))
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150, deadline=None, phases=CYCLE_PHASES)
     def test_matches_the_fraction_oracle(self, case):
         """Points, multiplicities and value types all equal the point-by-point
         Fraction reduction, merge and sort."""
@@ -462,7 +463,7 @@ class TestZeroCycle:
             assert repr(t.reduce_point(M, p)) == repr(reduce_point_oracle(M, p))
 
     @given(manifold_with_cycles(CYCLE_MANIFOLDS, count=2))
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80, deadline=None, phases=CYCLE_PHASES)
     def test_sum_and_difference_match_the_oracle(self, case):
         M, items1, items2 = case
         z1, z2 = t.zero_cycle(M, items1), t.zero_cycle(M, items2)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CYCLE_MANIFOLDS, manifold_with_cycles
+from conftest import CYCLE_MANIFOLDS, CYCLE_PHASES, manifold_with_cycles
 from oracles import circle_function_oracle, klein_fiber_circumference_oracle
 
 import troplin as t
@@ -270,7 +270,7 @@ class TestAlbaneseClass:
         assert t.albanese_class(klein23, z) == (0, 0)
 
     @given(manifold_with_cycles([M for M in CYCLE_MANIFOLDS if M.kind == "klein"]))
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80, deadline=None, phases=CYCLE_PHASES)
     def test_matches_a_fraction_sum(self, case):
         K, items = case
         z = t.zero_cycle(K, items)

@@ -15,11 +15,13 @@ from oracles import (
     gram_oracle,
     klein_orbit_points,
     pullback_oracle,
+    solve_oracle,
 )
 
 import troplin as t
 from troplin.errors import DegenerateLattice, NonPositiveParameter, UnsupportedManifoldKind
-from troplin.manifold import contains_deck, identity_deck
+from troplin import manifold
+from troplin.manifold import _signed_gram, contains_deck, identity_deck, translation_deck
 
 
 class TestConstructors:
@@ -200,6 +202,54 @@ class TestFormsAgainstTupleOracle:
             t.TropicalForm(2, 1, (1, 0)).gram([(1, 0, 0)])
 
 
+@st.composite
+def gram_terms(draw):
+    """(degree, count, terms) for ``_signed_gram``: degree 2-3, forms on
+    dimensions 2-4 drawn from a pool of up to three, so terms share forms or
+    differ, 0-7 vectors per term, and each vector index with a denominator
+    of its own (plain ints where it is 1)."""
+    degree = draw(st.integers(2, 3))
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        dim = draw(st.integers(degree, 4))
+        size = comb(dim, degree)
+        coefficients = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+        pool.append(t.TropicalForm(dim, degree, tuple(coefficients)))
+    count = draw(st.integers(0, 7))
+    denominators = draw(st.lists(st.sampled_from([1, 2, 3, 4, 5, 7, 9]), min_size=count,
+                                 max_size=count))
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        form = draw(st.sampled_from(pool))
+        c = draw(st.integers(-3, 3))
+        vectors = [
+            tuple(Fraction(n, d) if d > 1 else n
+                  for n in draw(st.lists(st.integers(-6, 6), min_size=form.dim,
+                                         max_size=form.dim)))
+            for d in denominators
+        ]
+        terms.append((c, form, vectors))
+    return degree, count, terms
+
+
+class TestSignedGram:
+    @given(gram_terms())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_summed_tuple_oracle(self, case):
+        """The integer kernel equals c times the Leibniz evaluation of each
+        term's form, summed over the terms, on every subset of indices."""
+        degree, count, terms = case
+        expected = [
+            sum((c * form_value_oracle(form.dim, degree, form.coefficients,
+                                       [vectors[j] for j in S])
+                 for c, form, vectors in terms), Fraction(0))
+            for S in combinations(range(count), degree)
+        ]
+        values = _signed_gram(terms, degree, count)
+        assert values == expected
+        assert exact_and_normalized(values)
+
+
 class TestKindInvariants:
     def test_euclidean_rejects_generators(self):
         from troplin.manifold import translation_deck
@@ -338,10 +388,18 @@ class TestDeckMembership:
 
     def test_torus_membership(self):
         T = t.make_torus([(4, 0), (0, 4)])
-        from troplin.manifold import translation_deck
-
         assert contains_deck(T, translation_deck((8, -4))) is True
         assert contains_deck(T, translation_deck((2, 0))) is False
+
+    def test_validation_solves_nothing_and_reduces_once(self, monkeypatch, t2_witness):
+        """Every deck element of a T^2 x R curve is decided by one torus
+        reduction built for the whole validation, without elimination."""
+        solved, built = [], []
+        solve, reduction = t.linalg.solve_rational, manifold._torus_reduction
+        monkeypatch.setattr(t.linalg, "solve_rational", lambda *a: solved.append(a) or solve(*a))
+        monkeypatch.setattr(manifold, "_torus_reduction", lambda M: built.append(M) or reduction(M))
+        assert t.validate_parametrized(t2_witness).passed
+        assert solved == [] and len(built) == 1
 
 
 KLEIN_PARAMS = [(2, 3), (Fraction(3, 2), Fraction(5, 3)), (1, Fraction(7, 4)), (Fraction(5, 2), 1)]
@@ -363,6 +421,7 @@ def deck_words(M: t.AffineQuotientManifold):
 
 
 SKEW_TORUS = t.make_torus([(2, 1), (-1, Fraction(3, 2))])
+NEGATIVE_TORUS = t.make_torus([(-1, Fraction(3, 2)), (2, 1)])  # the same lattice
 MEMBERSHIP_MANIFOLDS = [
     t.make_klein(2, 3),
     t.make_klein(Fraction(3, 2), Fraction(5, 3)),
@@ -397,6 +456,21 @@ class TestPeriodicReductionProperties:
         flipped = [list(row) for row in g.linear]
         flipped[1][1] = -flipped[1][1]  # swaps I and diag(1, -1) on the first two axes
         assert contains_deck(M, t.DeckElement(flipped, g.translation)) is False
+
+    @given(st.sampled_from([SKEW_TORUS, NEGATIVE_TORUS]),
+           st.lists(st.integers(-4, 4), min_size=2, max_size=2),
+           st.one_of(st.just((0, 0)), st.tuples(coordinates, coordinates)))
+    @settings(max_examples=200, deadline=None)
+    def test_torus_membership_matches_the_solve_oracle(self, T, multiples, offset):
+        """A lattice point plus an offset is in the lattice iff its
+        coordinates in the lattice basis, solved by the oracle, are integers."""
+        basis = [g.translation for g in T.generators]
+        shift = [sum(k * v[i] for k, v in zip(multiples, basis)) + Fraction(offset[i])
+                 for i in range(2)]
+        coordinates_in_basis = solve_oracle([[v[i] for v in basis] for i in range(2)], shift)
+        expected = all(c.denominator == 1 for c in coordinates_in_basis)
+        assert contains_deck(T, translation_deck(shift)) is expected
+        assert contains_deck(t.product_with_line(T), translation_deck(shift + [0])) is expected
 
     @given(st.sampled_from(MEMBERSHIP_MANIFOLDS[:2]), st.data())
     @settings(max_examples=100, deadline=None)

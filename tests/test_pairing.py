@@ -18,6 +18,7 @@ import troplin as t
 from troplin import embedded, io, pairing
 from troplin.curve import satisfies_vertex_equations
 from troplin.errors import DimensionMismatch, NotADeformation, NotHorizontal, WrongAmbient
+from troplin.manifold import translation_deck
 from troplin.pairing import end_evaluation, wedge_with_last
 
 
@@ -311,6 +312,15 @@ class TestRoitman:
         ]
         assert space.gram(vectors) == expected
 
+    def test_infinity_restriction_refuses_a_curve_without_ends(self):
+        """The bare circle modification has deformations but no end copies."""
+        T = t.make_torus([(4, 0), (0, 4)])
+        circle = t.circle_embedding(T, (0, 0), (1, 0), 4, translation_deck((-4, 0)))
+        h = t.modification_curve(circle, t.principal_function(4, []))
+        assert t.isotropy_check(h, AREA).passed
+        with pytest.raises(t.InputError, match="no infinite ends"):
+            t.infinity_restriction(h, AREA)
+
     def test_infinity_restriction_of_witness(self, t2_witness):
         space, vectors = t.infinity_restriction(t2_witness, AREA)
         assert len(space.blocks) == 4
@@ -322,6 +332,10 @@ class TestRoitman:
         rng = random.Random(321)
         for _ in range(30):
             h = random_t2_horizontal_curve(rng)
+            if not h.abstract.infinite_edges():  # an empty divisor: no end copies
+                with pytest.raises(t.InputError):
+                    t.infinity_restriction(h, AREA)
+                continue
             space, vectors = t.infinity_restriction(h, AREA)
             result = t.roitman_bound_check(space, vectors)
             assert result.isotropic
@@ -340,6 +354,7 @@ class TestRoitman:
             h, dim = T3_WITNESS, 3
         else:
             h, dim = random_t2_horizontal_curve(rng), 2
+        assume(h.abstract.infinite_edges())  # without ends there are no end copies
         degree = rng.randint(2, dim)
         coefficients = [rng.randint(-2, 2) for _ in range(comb(dim, degree))]
         coefficients[rng.randrange(len(coefficients))] = rng.choice([-1, 1])
@@ -352,7 +367,6 @@ class TestRoitman:
                 mock.patch.object(pairing, "deformation_basis", lambda h: basis):
             (check,) = t.isotropy_check(h, form).checks
             space, vectors = t.infinity_restriction(h, form)
-        assume(space.blocks)  # without ends the block form has no degree
         values = [Fraction(part.split("=")[1]) for part in check.detail.split("; ")]
         assert values == space.gram(vectors)
 
