@@ -44,7 +44,7 @@ class Edge:
 
     @property
     def is_infinite(self) -> bool:
-        return self.length == INF
+        return self.length is INF  # __post_init__ stores INF itself or a Fraction
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,10 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
@@ -246,7 +248,7 @@ def validate_parametrized(h: ParametrizedTropicalCurve) -> Report:
             bad.append(f"{e.id}: direction not primitive")
         if d.weight < 1:
             bad.append(f"{e.id}: weight < 1")
-        if e.is_infinite != (d.image_length == INF):
+        if e.is_infinite != (d.image_length is INF):
             bad.append(f"{e.id}: finite/infinite mismatch with abstract edge")
         if d.image_length is not INF and d.image_length <= 0:
             bad.append(f"{e.id}: nonpositive image length")
@@ -255,7 +257,7 @@ def validate_parametrized(h: ParametrizedTropicalCurve) -> Report:
         return report
 
     unknown, undecided = [], []
-    in_group = deck_membership(h.manifold)
+    in_group = cache(deck_membership(h.manifold))  # once per distinct deck, in this call
     for e in h.abstract.edges:
         member = in_group(h.data(e.id).deck)
         if member is False:
@@ -272,12 +274,17 @@ def validate_parametrized(h: ParametrizedTropicalCurve) -> Report:
 
     mismatched = []
     for e in h.abstract.finite_edges():
+        # A(p + l d) + t = q, all scaled by one lcm L of this edge's denominators.
         d = h.data(e.id)
-        end = vector(
-            as_fraction(h.position(e.tail)[i]) + d.image_length * d.direction[i]
-            for i in range(n)
-        )
-        if d.deck.apply(end) != h.position(e.head):
+        p, q, t = h.position(e.tail), h.position(e.head), d.deck.translation
+        L = lcm(d.image_length.denominator, *(x.denominator for x in (*p, *q, *t)))
+        lL = d.image_length.numerator * (L // d.image_length.denominator)
+        end = [x.numerator * (L // x.denominator) + lL * c for x, c in zip(p, d.direction)]
+        if len(t) != n or any(
+            sum(map(mul, row, end)) + x.numerator * (L // x.denominator)
+            != y.numerator * (L // y.denominator)
+            for row, x, y in zip(d.deck.linear, t, q)
+        ):
             mismatched.append(f"{e.id}: tail + length*direction does not reach head")
     report.add("position consistency", not mismatched, "; ".join(mismatched))
 
@@ -346,11 +353,11 @@ def deformation_constraints(h: ParametrizedTropicalCurve):
     offsets = _vertex_offsets(h)
     ncols = n * len(h.abstract.vertices)
     rows = []
+    annihilator = cache(linalg.annihilator_basis)  # once per distinct direction, in this call
     for e in h.abstract.finite_edges():
         d = h.data(e.id)
         A = d.deck.linear
-        transported = linalg.mat_vec(A, d.direction)
-        for phi in linalg.annihilator_basis(transported):
+        for phi in annihilator(linalg.mat_vec(A, d.direction)):
             row = [0] * ncols
             row_tail = [sum(phi[i] * A[i][j] for i in range(n)) for j in range(n)]
             for j in range(n):
@@ -375,7 +382,7 @@ def _deformation_basis(h: ParametrizedTropicalCurve) -> list[dict[str, tuple]]:
     n = h.manifold.dim
     offsets = _vertex_offsets(h)
     basis = linalg.kernel_basis(deformation_constraints(h))
-    return [{v: vector(b[off : off + n]) for v, off in offsets.items()} for b in basis]
+    return [{v: b[off : off + n] for v, off in offsets.items()} for b in basis]
 
 
 def is_deformation(h: ParametrizedTropicalCurve, assignment: Mapping[str, Sequence]) -> bool:

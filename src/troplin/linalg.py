@@ -120,35 +120,43 @@ def _combine(row: dict, alpha: int, other: dict, beta: int) -> int:
     return g
 
 
-def _eliminate(rows: Iterable[Iterable]) -> tuple[dict[int, dict[int, int]], Fraction]:
-    """Gauss-Jordan elimination over sparse integer rows, one row at a time.
+def _echelon(rows: Iterable[Iterable]) -> tuple[dict[int, dict[int, int]], Fraction]:
+    """Forward elimination over sparse integer rows, one row at a time.
 
     Returns ``(pivots, scale)``: ``pivots`` maps each pivot column, in input
     row order, to a primitive row whose first column it is and which is zero
-    in every other pivot column, so dividing by the pivot entries gives the
-    unique reduced row echelon form; det(input) is scale * det(pivot rows).
+    in every earlier-added pivot column; det(input) is scale * det(pivot rows).
     """
     pivots: dict[int, dict[int, int]] = {}
     num = den = 1  # det(input) = det(rows so far) * num / den
     for entries in rows:
         row, m = _integer_row(entries)
         den *= m
-        for c in [c for c in row if c in pivots]:
+        # Reducing by pivot c adds entries right of c only, so take the smallest first.
+        c = min((j for j in row if j in pivots), default=None)
+        while c is not None:
             a, p = row[c], pivots[c][c]
             g = gcd(a, p)
             num *= _combine(row, p // g, pivots[c], a // g)
             den *= p // g
-        if not row:
-            continue
-        c = min(row)
-        for other in pivots.values():
-            b = other.get(c)
-            if b:
-                g = gcd(b, row[c])
-                num *= _combine(other, row[c] // g, row, b // g)
-                den *= row[c] // g
-        pivots[c] = row
+            c = min((j for j in row if j > c and j in pivots), default=None)
+        if row:
+            pivots[min(row)] = row
     return pivots, Fraction(num, den)
+
+
+def _eliminate(rows: Iterable[Iterable]) -> dict[int, dict[int, int]]:
+    """``_echelon`` then one back-substitution pass, right to left, that
+    leaves each pivot row zero in every other pivot column: dividing by the
+    pivot entries gives the unique reduced row echelon form."""
+    pivots = _echelon(rows)[0]
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        for d in [d for d in row if d != c and d in pivots]:
+            other = pivots[d]
+            g = gcd(row[d], other[d])
+            _combine(row, other[d] // g, other, row[d] // g)
+    return pivots
 
 
 def det(M: Sequence[Sequence]) -> Fraction:
@@ -156,10 +164,10 @@ def det(M: Sequence[Sequence]) -> Fraction:
     n = len(M)
     if any(len(row) != n for row in M):
         raise ValueError("determinant of a non-square matrix")
-    pivots, scale = _eliminate(M)
+    pivots, scale = _echelon(M)
     if len(pivots) < n:
         return Fraction(0)
-    # Each row is now a single entry in its pivot column: a signed permutation.
+    # Ordered by pivot column the rows are upper triangular.
     order = list(pivots)
     inversions = sum(order[i] > order[j] for i in range(n) for j in range(i + 1, n))
     return scale * (-1) ** inversions * prod(row[c] for c, row in pivots.items())
@@ -175,7 +183,7 @@ def is_unimodular(M: Sequence[Sequence]) -> bool:
 def rref(M: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form over the rationals and its pivot columns."""
     nrows, ncols = M.shape
-    pivots = _eliminate(M)[0]
+    pivots = _eliminate(M)
     cols = sorted(pivots)
     R = zeros(nrows, ncols)
     for out, c in zip(R, cols):
@@ -186,7 +194,7 @@ def rref(M: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def rank(M: Sequence[Sequence]) -> int:
-    return len(_eliminate(M)[0])
+    return len(_echelon(M)[0])
 
 
 def _subtract(x: list, q: int, y: list) -> list:
@@ -241,7 +249,7 @@ def kernel_basis(M) -> list[tuple]:
     if not isinstance(M, Matrix):
         M = matrix(M)
     ncols = M.ncols
-    pivots = _eliminate(M)[0]
+    pivots = _eliminate(M)
     free = {f: [1 if j == f else 0 for j in range(ncols)]
             for f in range(ncols) if f not in pivots}
     for c, row in pivots.items():
@@ -293,7 +301,7 @@ def annihilator_basis(v: Sequence[int]) -> list[tuple]:
 def solve_rational(A: Matrix, b: Sequence) -> tuple | None:
     """One exact solution of A x = b, or None if inconsistent."""
     ncols = A.shape[1]
-    pivots = _eliminate([*row, x] for row, x in zip(A, vector(b)))[0]
+    pivots = _eliminate([*row, x] for row, x in zip(A, vector(b)))
     if ncols in pivots:
         return None
     x = [0] * ncols

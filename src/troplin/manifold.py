@@ -25,7 +25,7 @@ from .errors import (
     NonPositiveParameter,
     UnsupportedManifoldKind,
 )
-from .linalg import as_fraction, as_int, matrix, vector
+from .linalg import _exact, as_fraction, as_int, matrix, vector
 
 KIND_EUCLIDEAN = "euclidean"
 KIND_TORUS = "torus"
@@ -61,10 +61,10 @@ class DeckElement:
     def apply(self, x: Sequence) -> tuple:
         """The image A x + t."""
         x = vector(x)
-        A = self.linear
-        return vector(
-            sum(A[i][j] * x[j] for j in range(self.dim)) + self.translation[i]
-            for i in range(self.dim)
+        if len(x) != self.dim:
+            raise DimensionMismatch("point and deck element have different dimensions")
+        return tuple(
+            _exact(sum(map(mul, row, x)) + t) for row, t in zip(self.linear, self.translation)
         )
 
     def compose(self, other: "DeckElement") -> "DeckElement":

@@ -216,19 +216,26 @@ def random_t2_horizontal_curve(rng: random.Random, max_vertices: int = 8):
 
 
 def t2_modification(rng: random.Random, breakpoints: int, direction):
-    """A circle modification in T^2 x R with ``breakpoints`` ends of weight 1.
-
-    The circle of circumference 4 has 256 slots of length 1/64; the divisor
-    takes multiplicities +1, +1, -1, -1, ... on seeded slots in circle
-    order, the last slot chosen to make its class vanish.
-    """
+    """A circle modification in T^2 x R with ``breakpoints`` ends of weight 1,
+    over a circle of circumference 4 through the origin."""
     T = t.make_torus([(4, 0), (0, 4)])
     c = 4
     circle = t.circle_embedding(T, (0, 0), direction, c,
                                 translation_deck((-c * direction[0], -c * direction[1])))
+    return circle_modification(rng, circle, breakpoints)
+
+
+def circle_modification(rng: random.Random, circle, breakpoints: int):
+    """The modification over ``circle`` with ``breakpoints`` ends of weight 1.
+
+    The circle has 64 slots per unit length; the divisor takes
+    multiplicities +1, +1, -1, -1, ... on seeded slots in circle order, the
+    last slot chosen to make its class vanish.
+    """
+    c = circle.circumference
     mults = [1 if i % 4 < 2 else -1 for i in range(breakpoints)]
     while True:
-        spots = sorted(Fraction(s, 64) for s in rng.sample(range(64 * c), breakpoints - 1))
+        spots = sorted(Fraction(s, 64) for s in rng.sample(range(int(64 * c)), breakpoints - 1))
         last = (-sum(m * s for m, s in zip(mults, spots)) / mults[-1]) % c
         if last > spots[-1]:
             divisor = list(zip(spots + [last], mults))

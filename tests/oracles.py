@@ -2,12 +2,13 @@
 
 Everything here is deliberately written from scratch on top of plain
 Python Fractions so that a library bug cannot hide behind shared code:
-row reduction for ranks and nullities, Leibniz determinants and the
-tuple-by-tuple evaluation of forms, lattice membership by determinantal
-divisors, minor-based deformation constraints, brute-force orbit
-enumeration on the Klein deck group, an arc-by-arc walk for functions on
-a circle, the all-pairs, elimination-based euclidean embeddedness check,
-and 0-cycles built point by point in Fractions.
+row reduction for ranks, nullities and kernels, Leibniz determinants and
+the tuple-by-tuple evaluation of forms, lattice membership by
+determinantal divisors, minor-based deformation constraints, the position
+check, brute-force orbit enumeration on the Klein deck group, an
+arc-by-arc walk for functions on a circle, the all-pairs,
+elimination-based euclidean embeddedness check, and 0-cycles built point
+by point in Fractions.
 """
 
 from fractions import Fraction
@@ -45,6 +46,19 @@ def rref_oracle(rows):
         if r == len(A):
             break
     return A, pivots
+
+
+def kernel_from_oracle(rows, ncols):
+    """One kernel vector per free column of the oracle's RREF."""
+    R, pivots = rref_oracle(rows)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -R[r][f]
+        basis.append(tuple(v))
+    return basis
 
 
 def rank_oracle(rows):
@@ -167,6 +181,22 @@ def deformation_nullity_minor_oracle(h):
                 row[offsets[e.head] + j] += d[i]
                 rows.append(row)
     return nullity_oracle(rows, ncols)
+
+
+def position_consistency_oracle(h):
+    """(status, detail) of the position check in Fractions: for each finite
+    edge, tail + length * direction, mapped by x -> A x + t of its deck,
+    must equal the head."""
+    mismatched = []
+    for e in h.abstract.finite_edges():
+        data = h.data(e.id)
+        length = Fraction(data.image_length)
+        end = [Fraction(p) + length * c for p, c in zip(h.position(e.tail), data.direction)]
+        image = [sum(a * x for a, x in zip(row, end)) + Fraction(s)
+                 for row, s in zip(data.deck.linear, data.deck.translation)]
+        if image != [Fraction(q) for q in h.position(e.head)]:
+            mismatched.append(f"{e.id}: tail + length*direction does not reach head")
+    return ("fail" if mismatched else "pass"), "; ".join(mismatched)
 
 
 def klein_orbit_points(x0, y0, point, window=5):

@@ -11,22 +11,28 @@ from hypothesis import strategies as st
 from conftest import (
     CYCLE_MANIFOLDS,
     CYCLE_PHASES,
+    PRIMES,
     build_t2_cycle,
     build_t3_witness,
+    circle_modification,
     manifold_with_cycles,
     random_t2_horizontal_curve,
+    t2_modification,
 )
 from oracles import (
     deformation_nullity_minor_oracle,
     embeddedness_oracle,
+    kernel_from_oracle,
+    position_consistency_oracle,
     reduce_point_oracle,
     zero_cycle_oracle,
 )
 
 import troplin as t
+from troplin import embedded, linalg
 from troplin.embedded import _intersecting_edge_pairs, balancing_residual
 from troplin.errors import NotHorizontal, WrongAmbient
-from troplin.manifold import KIND_GENERAL, AffineQuotientManifold, translation_deck
+from troplin.manifold import KIND_GENERAL, AffineQuotientManifold, identity_deck, translation_deck
 
 T3_WITNESS = build_t3_witness()  # module level: Hypothesis tests take no function fixtures
 
@@ -86,6 +92,72 @@ def balanced_euclidean_curves(draw):
     )
 
 
+_POSITION_BASES = [
+    t.make_torus([(1, 0), (0, 1)]),
+    t.make_torus([(2, 1), (-1, Fraction(3, 2))]),
+    t.make_klein(Fraction(3, 2), Fraction(5, 3)),
+]
+POSITION_MANIFOLDS = _POSITION_BASES + [t.product_with_line(M) for M in _POSITION_BASES]
+PRIME_FRACTION = st.builds(Fraction, st.integers(-10**4, 10**4), st.sampled_from(PRIMES[:25]))
+PRIME_LENGTH = st.builds(Fraction, st.integers(1, 10**4), st.sampled_from(PRIMES[:25]))
+STEP = st.tuples(*[st.integers(-3, 3)] * 3).filter(lambda v: any(v[:2]))
+
+
+def _image(g, x):
+    """x -> A x + t of a deck element, in Fractions."""
+    return [sum(a * y for a, y in zip(row, x)) + s for row, s in zip(g.linear, g.translation)]
+
+
+@st.composite
+def position_curves(draw):
+    """A chain v0 -> v1 -> ... of finite edges whose heads are the exact
+    images of the tails, closed back to v0 by an edge whose translation is
+    solved for, with a ray at every vertex.  Positions, lengths and
+    translations carry many distinct prime denominators; half the time one
+    position coordinate is then nudged by 1/p."""
+    M = draw(st.sampled_from(POSITION_MANIFOLDS))
+    n = M.dim
+    point = st.tuples(*[PRIME_FRACTION] * n)
+
+    def deck():
+        g = identity_deck(n)
+        for _ in range(draw(st.integers(0, 3))):
+            g = g.compose(draw(st.sampled_from(M.generators)))
+        return t.DeckElement(g.linear, draw(point)) if draw(st.booleans()) else g
+
+    k = draw(st.integers(1, 5))
+    positions = [list(draw(point))]
+    edges, data = [], {}
+    for i in range(k + 1):
+        d, length, g = _primitive(draw(STEP)[:n]), draw(PRIME_LENGTH), deck()
+        end = [x + length * c for x, c in zip(positions[i], d)]
+        if i < k:
+            positions.append(_image(g, end))
+            eid, head = f"e{i}", f"v{i + 1}"
+        else:  # closing edge: the translation that takes end to v0
+            t0 = [p - y + s for p, y, s in zip(positions[0], _image(g, end), g.translation)]
+            g = t.DeckElement(g.linear, t0)
+            eid, head = "closing", "v0"
+        edges.append((eid, f"v{i}", head, length))
+        data[eid] = dict(direction=d, image_length=length, deck=g)
+    for i in range(k + 1):
+        edges.append((f"r{i}", f"v{i}", None, t.INF))
+        data[f"r{i}"] = dict(direction=_primitive(draw(STEP)[:n]), image_length=t.INF)
+    if draw(st.booleans()):
+        v, j = draw(st.integers(0, k)), draw(st.integers(0, n - 1))
+        positions[v][j] += Fraction(1, draw(st.sampled_from(PRIMES[:25])))
+    return t.parametrized_curve(
+        M, t.abstract_curve([f"v{i}" for i in range(k + 1)], edges),
+        {f"v{i}": p for i, p in enumerate(positions)}, data,
+    )
+
+
+def klein_modification(breakpoints: int, seed: int = 0):
+    """A modification over a generic long axis-2 fibre of K(2, 3)."""
+    circle = t.fiber_circle(t.make_klein(2, 3), 2, Fraction(3, 4))
+    return circle_modification(random.Random(seed), circle, breakpoints)
+
+
 class TestValidateParametrized:
     def test_fig1a_balanced(self, fig1a):
         report = t.validate_parametrized(fig1a)
@@ -125,6 +197,30 @@ class TestValidateParametrized:
         bad = t.parametrized_curve(fig1a.manifold, fig1a.abstract, positions, edges)
         report = t.validate_parametrized(bad)
         assert any("position consistency" == c.name for c in report.failures())
+
+    @given(position_curves())
+    @settings(max_examples=200, deadline=None)
+    def test_position_consistency_matches_the_fraction_oracle(self, h):
+        report = t.validate_parametrized(h)
+        check = next(c for c in report.checks if c.name == "position consistency")
+        assert (check.status, check.detail) == position_consistency_oracle(h)
+
+    def test_klein_validation_applies_no_deck_and_decides_each_once(self, monkeypatch):
+        h = klein_modification(40)
+        applied, decided = [], []
+        apply, membership = t.DeckElement.apply, embedded.deck_membership
+        monkeypatch.setattr(t.DeckElement, "apply", lambda g, x: applied.append(x) or apply(g, x))
+
+        def counted(M):
+            member = membership(M)
+            return lambda g: decided.append(g) or member(g)
+
+        monkeypatch.setattr(embedded, "deck_membership", counted)
+        assert t.validate_parametrized(h).passed
+        assert applied == []
+        decks = {h.data(e.id).deck for e in h.abstract.edges}
+        assert len(decided) == len(decks) == 2
+        assert set(decided) == decks
 
     def test_local_injectivity(self, euclid2):
         doubled = t.parametrized_curve(
@@ -287,6 +383,31 @@ class TestDeformationBasis:
     def test_t2_witness_dimension(self, t2_witness):
         assert len(t.deformation_basis(t2_witness)) == 3
         assert deformation_nullity_minor_oracle(t2_witness) == 3
+
+    def test_one_annihilator_per_transported_direction(self, monkeypatch):
+        h = klein_modification(40)
+        annihilated = []
+        basis = linalg.annihilator_basis
+        monkeypatch.setattr(linalg, "annihilator_basis", lambda v: annihilated.append(v) or basis(v))
+        embedded.deformation_constraints(h)
+        transported = {
+            linalg.mat_vec(h.data(e.id).deck.linear, h.data(e.id).direction)
+            for e in h.abstract.finite_edges()
+        }
+        assert sorted(annihilated) == sorted(transported)
+
+    @pytest.mark.parametrize("breakpoints", [8, 16, 28, 40])
+    @pytest.mark.parametrize("base", ["klein", "t2"])
+    def test_circle_modification_basis_is_the_oracle_kernel(self, base, breakpoints):
+        if base == "klein":
+            h = klein_modification(breakpoints, seed=breakpoints)
+        else:
+            h = t2_modification(random.Random(breakpoints), breakpoints, (2, 1))
+        M = embedded.deformation_constraints(h)
+        flat = [tuple(x for v in h.abstract.vertices for x in D[v])
+                for D in t.deformation_basis(h)]
+        assert flat == kernel_from_oracle([list(row) for row in M], M.ncols)
+        assert len(flat) == deformation_nullity_minor_oracle(h)
 
     def test_members_satisfy_conditions(self, fig1a):
         from troplin.embedded import is_deformation

@@ -15,6 +15,7 @@ from oracles import (
     gcd_vector,
     integer_span_oracle,
     kernel_contains,
+    kernel_from_oracle,
     leibniz_det,
     nullity_oracle,
     rank_oracle,
@@ -230,19 +231,6 @@ def sparse_matrices(draw, max_rows=6, max_cols=6):
     return rows, ncols
 
 
-def kernel_from_oracle(rows, ncols):
-    """One kernel vector per free column of the oracle's RREF."""
-    R, pivots = rref_oracle(rows)
-    basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -R[r][f]
-        basis.append(tuple(v))
-    return basis
-
-
 class TestEliminationCore:
     @given(sparse_matrices())
     @settings(max_examples=300, deadline=None)
@@ -261,7 +249,7 @@ class TestEliminationCore:
         rows, ncols = case
         assert kernel_basis(Matrix(rows, ncols)) == kernel_from_oracle(rows, ncols)
 
-    @given(st.integers(0, 4).flatmap(
+    @given(st.integers(0, 6).flatmap(
         lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
     ))
     @settings(max_examples=300, deadline=None)

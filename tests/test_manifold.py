@@ -66,6 +66,12 @@ class TestApplyDeck:
     def test_identity(self):
         assert t.apply_deck(identity_deck(2), (Fraction(7, 3), -2)) == (Fraction(7, 3), -2)
 
+    def test_point_of_another_dimension(self):
+        g = t.make_klein(2, 3).generator("b")
+        for x in [(1,), (1, 2, 3)]:
+            with pytest.raises(t.DimensionMismatch):
+                g.apply(x)
+
     def test_composition(self):
         K = t.make_klein(2, 3)
         aa = K.generator("a").compose(K.generator("a"))
@@ -487,3 +493,13 @@ class TestPeriodicReductionProperties:
         reduced = t.reduce_point(M, x)
         assert t.reduce_point(M, g.apply(x)) == reduced == t.reduce_point(M, reduced)
         assert exact_and_normalized(reduced)
+
+    @given(st.sampled_from(MEMBERSHIP_MANIFOLDS), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_apply_is_the_exact_normalized_image(self, M, data):
+        x = data.draw(st.lists(coordinates, min_size=M.dim, max_size=M.dim))
+        g = M.deck_from_word(data.draw(deck_words(M)))
+        image = g.apply(x)
+        assert image == tuple(sum(a * Fraction(y) for a, y in zip(row, x)) + s
+                              for row, s in zip(g.linear, g.translation))
+        assert exact_and_normalized(image)
