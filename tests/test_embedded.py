@@ -386,9 +386,9 @@ class TestDeformationBasis:
 
     def test_one_annihilator_per_transported_direction(self, monkeypatch):
         h = klein_modification(40)
-        annihilated = []
-        basis = linalg.annihilator_basis
-        monkeypatch.setattr(linalg, "annihilator_basis", lambda v: annihilated.append(v) or basis(v))
+        annihilated, basis = [], linalg.annihilator_basis
+        monkeypatch.setattr(linalg, "annihilator_basis",
+                            lambda v: annihilated.append(v) or basis(v))
         embedded.deformation_constraints(h)
         transported = {
             linalg.mat_vec(h.data(e.id).deck.linear, h.data(e.id).direction)
