@@ -13,10 +13,11 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
 from math import lcm
 from operator import mul
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
@@ -430,52 +431,57 @@ def is_horizontal_at_infinity(h: ParametrizedTropicalCurve) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class ZeroCycle:
-    """A finite formal integer combination of canonical manifold points."""
+    """A finite formal integer combination of canonical manifold points, held
+    as a read-only {point key: non-zero multiplicity} with keys as
+    ``point_reducer`` makes them; ``entries`` is built the first time it is read."""
 
-    entries: tuple[tuple[tuple, int], ...]
+    def __init__(self, keys: Mapping[tuple[int, ...], int] | Iterable = ()):
+        self.keys = MappingProxyType({key: m for key, m in dict(keys).items() if m})
+
+    @cached_property
+    def entries(self) -> tuple[tuple[tuple, int], ...]:
+        """The exact points, ints where integral, with their multiplicities in
+        value order: keys sort on numerators over the lcm of the denominators."""
+        L = lcm(*(key[-1] for key in self.keys))
+        order = sorted(self.keys, key=lambda key: [c * (L // key[-1]) for c in key[:-1]])
+        return tuple((key_point(key), self.keys[key]) for key in order)
 
     @property
     def degree(self) -> int:
-        return sum(m for _, m in self.entries)
+        return sum(self.keys.values())
 
     def multiplicity(self, point: Sequence) -> int:
-        pt = vector(point)
-        for p, m in self.entries:
-            if p == pt:
-                return m
-        return 0
+        return self.keys.get(point_key(point), 0)
 
     def is_empty(self) -> bool:
-        return not self.entries
+        return not self.keys
+
+    def __eq__(self, other) -> bool:
+        return self.keys == other.keys if isinstance(other, ZeroCycle) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.keys.items()))
+
+    def __repr__(self) -> str:
+        return f"ZeroCycle(entries={self.entries!r})"
 
     def __neg__(self) -> "ZeroCycle":
-        return ZeroCycle(tuple((p, -m) for p, m in self.entries))
+        return ZeroCycle({key: -m for key, m in self.keys.items()})
 
     def __add__(self, other: "ZeroCycle") -> "ZeroCycle":
-        return _merge((point_key(p), m) for p, m in (*self.entries, *other.entries))
+        return _merge((*self.keys.items(), *other.keys.items()))
 
     def __sub__(self, other: "ZeroCycle") -> "ZeroCycle":
         return self + (-other)
 
 
 def _merge(items: Iterable[tuple[tuple[int, ...], int]]) -> ZeroCycle:
-    """The cycle of (point key, multiplicity) pairs: equal keys merge and
-    zeros drop.  Points sort on their numerators over L, the lcm of the
-    key denominators, which is the order of the points' exact values."""
+    """The cycle of (point key, multiplicity) pairs: equal keys merge, zeros drop."""
     acc: dict[tuple, int] = {}
     for key, m in items:
         acc[key] = acc.get(key, 0) + m
-    keys = [key for key, m in acc.items() if m]
-    L = lcm(*(key[-1] for key in keys))
-
-    def order(key: tuple[int, ...]) -> list[int]:
-        s = L // key[-1]
-        return [c * s for c in key[:-1]]
-
-    keys.sort(key=order)
-    return ZeroCycle(tuple((key_point(key), acc[key]) for key in keys))
+    return ZeroCycle(acc)
 
 
 def zero_cycle(M: AffineQuotientManifold, items: Iterable[tuple[Sequence, int]]) -> ZeroCycle:

@@ -67,7 +67,7 @@ def _objects(items, what: str) -> list[dict]:
 
 
 def _int(x) -> int:
-    return as_int(as_fraction(x))
+    return as_int(x if type(x) is int else as_fraction(x))
 
 
 def frac_str(x) -> str:
@@ -261,9 +261,8 @@ def cycle_json(z: ZeroCycle) -> list[dict]:
 def parse_cycle(doc, manifold: AffineQuotientManifold) -> ZeroCycle:
     what = "a 0-cycle entry"
     entries = _objects(_expect(doc, list, "a 0-cycle document"), what)
-    return zero_cycle(manifold, [
-        (parse_vector(_member(e, "point", what)), _int(_member(e, "mult", what))) for e in entries
-    ])
+    return zero_cycle(manifold, [(_expect(_member(e, "point", what), list, "a vector"),
+                                  _int(_member(e, "mult", what))) for e in entries])
 
 
 def graded_space_json(space: GradedSpace, vectors=()) -> dict:

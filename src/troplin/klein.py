@@ -362,12 +362,12 @@ def modification_curve(
 def albanese_class(K: AffineQuotientManifold, z: ZeroCycle) -> tuple[int, Fraction]:
     """Degree and the integral of dx against z, modulo the period x0.
 
-    The sum of m x runs in integers over d, the lcm of x0's and the points'
-    x-denominators, and one Fraction is built at the end."""
+    The sum of m x runs in integers over L, the lcm of x0's and the point
+    keys' denominators, and one Fraction is built at the end."""
     x0, _ = _require_klein(K)
-    d = lcm(x0.denominator, *(p[0].denominator for p, _ in z.entries))
-    total = sum(m * p[0].numerator * (d // p[0].denominator) for p, m in z.entries)
-    return z.degree, Fraction(total % (x0.numerator * (d // x0.denominator)), d)
+    L = lcm(x0.denominator, *(key[-1] for key in z.keys))
+    total = sum(m * key[0] * (L // key[-1]) for key, m in z.keys.items())
+    return z.degree, Fraction(total % (x0.numerator * (L // x0.denominator)), L)
 
 
 def chow_equivalent(K: AffineQuotientManifold, z1: ZeroCycle, z2: ZeroCycle) -> bool:

@@ -36,27 +36,48 @@ class Matrix(list):
 def as_fraction(x) -> Fraction:
     """Coerce ``x`` to an exact Fraction.
 
-    Accepts ints, Fractions and strings like ``"3/4"``.  Floats are
-    rejected: they would smuggle binary rounding into the exact core.
+    Accepts ints, Fractions and strings like ``"3/4"``.  Floats and
+    booleans are rejected: floats would smuggle binary rounding into the
+    exact core, and a JSON ``true`` is not a number.
     """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
-        try:
-            if _CANONICAL.fullmatch(x):  # the common "p/q", without Fraction's parser
-                n, _, d = x.partition("/")
-                return Fraction(int(n), int(d or 1))
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise IrrationalData(f"cannot parse rational from {x!r}") from exc
+        return Fraction(*as_ratio(x))
     raise IrrationalData(f"not an exact rational: {x!r} ({type(x).__name__})")
 
 
+def as_ratio(x) -> tuple[int, int]:
+    """(numerator, denominator) of ``as_fraction(x)``.  A canonical ``"p/q"``
+    string is read as two ints, without Fraction's parser or a Fraction."""
+    if type(x) is int:
+        return x, 1
+    if type(x) is Fraction:
+        return x.numerator, x.denominator
+    if isinstance(x, str):
+        try:
+            if not _CANONICAL.fullmatch(x):
+                q = Fraction(x)
+                return q.numerator, q.denominator
+            n, _, d = x.partition("/")
+            n, d = int(n), int(d or 1)
+            if not d:
+                raise ZeroDivisionError(f"Fraction({n}, 0)")
+        except (ValueError, ZeroDivisionError) as exc:
+            raise IrrationalData(f"cannot parse rational from {x!r}") from exc
+        g = gcd(n, d)
+        return n // g, d // g
+    q = as_fraction(x)
+    return q.numerator, q.denominator
+
+
 def as_int(x) -> int:
-    """Coerce ``x`` to an int, requiring an integer value."""
-    if isinstance(x, (int, Fraction)) and x.denominator == 1:
+    """Coerce ``x`` to an int, requiring an integer value (not a bool)."""
+    if type(x) is int:
+        return x
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool) and x.denominator == 1:
         return int(x)
     raise IrrationalData(f"not an integer: {x!r}")
 

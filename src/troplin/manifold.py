@@ -25,7 +25,7 @@ from .errors import (
     NonPositiveParameter,
     UnsupportedManifoldKind,
 )
-from .linalg import _exact, as_fraction, as_int, matrix, vector
+from .linalg import _exact, as_fraction, as_int, as_ratio, matrix, vector
 
 KIND_EUCLIDEAN = "euclidean"
 KIND_TORUS = "torus"
@@ -433,11 +433,10 @@ def albanese_data(M: AffineQuotientManifold) -> AlbaneseData:
 
 
 def _scaled(x: Sequence, base: int) -> tuple[list[int], int]:
-    """x as integers over d, the lcm of base and x's denominators."""
-    q = [c if type(c) is int or type(c) is Fraction else as_fraction(c) for c in x]
-    dens = [c.denominator for c in q]
-    d = lcm(base, *dens)
-    return [c.numerator * (d // e) for c, e in zip(q, dens)], d
+    """x as integers over d, the lcm of base and x's (``as_ratio``) denominators."""
+    q = [as_ratio(c) for c in x]
+    d = lcm(base, *[e for _, e in q])
+    return [n * (d // e) for n, e in q], d
 
 
 def _torus_reduction(M: AffineQuotientManifold) -> Callable:
@@ -476,13 +475,16 @@ def _integer_reduction(M: AffineQuotientManifold) -> tuple[int, Callable]:
         return 1, _torus_reduction(M)
     if M.kind == KIND_KLEIN:
         x0, y0 = M.klein_params
+        D = lcm(x0.denominator, y0.denominator)
+        X, Y = (c.numerator * (D // c.denominator) for c in (x0, y0))  # the periods over D
 
         def klein(n: list[int], d: int) -> tuple[list[int], int]:
-            k, x = divmod(n[0], x0.numerator * (d // x0.denominator))
+            s = d // D
+            k, x = divmod(n[0], X * s)
             y = -n[1] if k & 1 else n[1]  # an odd number of b's flips y
-            return [x, y % (y0.numerator * (d // y0.denominator))], d
+            return [x, y % (Y * s)], d
 
-        return lcm(x0.denominator, y0.denominator), klein
+        return D, klein
     if M.kind == KIND_PRODUCT:
         D, base = _integer_reduction(M.base)
 

@@ -29,7 +29,7 @@ from oracles import (
 )
 
 import troplin as t
-from troplin import embedded, linalg
+from troplin import embedded, linalg, manifold
 from troplin.embedded import _intersecting_edge_pairs, balancing_residual
 from troplin.errors import NotHorizontal, WrongAmbient
 from troplin.manifold import KIND_GENERAL, AffineQuotientManifold, identity_deck, translation_deck
@@ -589,8 +589,66 @@ class TestZeroCycle:
         M, items1, items2 = case
         z1, z2 = t.zero_cycle(M, items1), t.zero_cycle(M, items2)
         negated = [(p, -m) for p, m in items2]
+        assert repr((-z2).entries) == repr(zero_cycle_oracle(M, negated))
         assert repr((z1 + z2).entries) == repr(zero_cycle_oracle(M, items1 + items2))
         assert repr((z1 - z2).entries) == repr(zero_cycle_oracle(M, items1 + negated))
+
+    @given(manifold_with_cycles(CYCLE_MANIFOLDS), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None, phases=CYCLE_PHASES)
+    def test_identity_does_not_depend_on_item_order(self, case, rng):
+        """Equality, hash and repr depend on the cycle's content only, not on
+        the order in which its keys were first met."""
+        M, items = case
+        shuffled = list(items)
+        rng.shuffle(shuffled)
+        z, w = t.zero_cycle(M, items), t.zero_cycle(M, shuffled[::-1])
+        assert z == w and hash(z) == hash(w) and repr(z) == repr(w)
+        assert z + w == w + z and z - w == t.ZeroCycle(())
+
+    def test_the_empty_cycle(self, klein23):
+        empty = t.ZeroCycle(())
+        assert empty.is_empty() and empty.degree == 0 and empty.entries == ()
+        assert empty == t.zero_cycle(klein23, []) and repr(empty) == "ZeroCycle(entries=())"
+        assert hash(empty) == hash(t.zero_cycle(klein23, [((1, 1), 1), ((1, 1), -1)]))
+
+    def test_multiplicity_of_canonical_and_absent_points(self, klein23):
+        z = t.zero_cycle(klein23, [((Fraction(5, 2), -1), 3), ((0, 2), -1)])
+        assert z.multiplicity((Fraction(1, 2), 1)) == 3
+        assert z.multiplicity(("2/4", "1")) == 3  # read as the same exact point
+        assert z.multiplicity((0, 2)) == -1
+        assert z.multiplicity((Fraction(5, 2), -1)) == 0  # not canonical: absent
+        assert z.multiplicity((1, 1)) == 0
+        with pytest.raises(TypeError):  # the keys are read-only, so hash and entries hold
+            z.keys[(1, 1, 1)] = 1
+
+    def test_the_decision_builds_no_exact_point(self, monkeypatch):
+        """zero_cycle and chow_equivalent on two 3,000-point Klein cycles stay
+        on integer keys; the exact points are built once each, when
+        ``entries`` is first read."""
+        calls = []
+
+        def counting(key, _key_point=manifold.key_point):
+            calls.append(key)
+            return _key_point(key)
+
+        monkeypatch.setattr(manifold, "key_point", counting)
+        monkeypatch.setattr(embedded, "key_point", counting)
+        K = t.make_klein(2, 3)
+        rng = random.Random(3)
+
+        def grid(span):
+            return Fraction(rng.randrange(-span * 64, span * 64), 64)
+
+        z1 = [((grid(8), grid(8)), rng.choice([-2, -1, 1, 2])) for _ in range(3000)]
+        z2 = []  # every point moved by a deck element b^k a^m
+        for (x, y), mult in z1:
+            k, m = rng.randrange(-3, 4), rng.randrange(-3, 4)
+            z2.append(((x + 2 * k, (-1 if k % 2 else 1) * (y + 3 * m)), mult))
+        c1, c2 = t.zero_cycle(K, z1), t.zero_cycle(K, z2)
+        assert t.chow_equivalent(K, c1, c2) and c1 == c2
+        assert calls == []
+        assert len(c1.entries) == len(c1.keys) and c1.entries is c1.entries
+        assert sorted(calls) == sorted(c1.keys)
 
     def test_empty_cycle_on_a_general_manifold(self):
         general = AffineQuotientManifold(2, (), (), KIND_GENERAL)

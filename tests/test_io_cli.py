@@ -15,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_fig1a, random_t2_horizontal_curve
+from oracles import zero_cycle_oracle
 
 import troplin as t
 from troplin import cli, io
+from troplin.errors import IrrationalData
 
 
 DATA = Path(t.data_path("fig1a.json")).parent
@@ -130,6 +132,75 @@ class TestCycleAndFormRoundTrip:
         doc = json.loads(json.dumps(io.graded_space_json(space, [(1, 0, 1, 0)])))
         space2, vectors = io.parse_graded_space(doc)
         assert space2 == space and vectors == [(1, 0, 1, 0)]
+
+
+PARSE_MANIFOLDS = [t.make_torus([(1, 0), (0, 1)]), t.make_klein(Fraction(3, 2), Fraction(5, 3))]
+PARSE_MANIFOLDS += [t.product_with_line(M) for M in PARSE_MANIFOLDS]
+# Small grids, zero, and multiples of half a period, so points land on the
+# fundamental domain's edges too.
+parse_values = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+    st.builds(lambda k, c: Fraction(k, 2) * c, st.integers(-9, 9),
+              st.sampled_from([1, Fraction(3, 2), Fraction(5, 3)])),
+)
+
+
+def _render(value: Fraction, form: str):
+    """A JSON coordinate for ``value``: an integer, the canonical "p/q", or a
+    string Fraction reads but the canonical pattern does not take."""
+    if form == "int" and value.denominator == 1:
+        return int(value)
+    if form == "unreduced":
+        return f"{3 * value.numerator}/{3 * value.denominator}"  # "6/4"
+    if form == "spaced":
+        return f" {value}"
+    if form == "signed":
+        return "-0" if value == 0 else f"+{value}" if value > 0 else f"{value} "
+    return str(value)
+
+
+coordinates = st.builds(_render, parse_values,
+                        st.sampled_from(["int", "canonical", "unreduced", "spaced", "signed"]))
+
+
+class TestParseCycleToKeys:
+    """``parse_cycle`` hands JSON coordinates straight to the point reducer."""
+
+    @given(st.one_of(*[st.tuples(st.just(M), st.lists(st.tuples(
+        st.lists(coordinates, min_size=M.dim, max_size=M.dim), st.integers(-3, 3)), max_size=8))
+        for M in PARSE_MANIFOLDS]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_fraction_path_and_the_oracle(self, case):
+        M, drawn = case
+        doc = json.loads(json.dumps([{"point": p, "mult": m} for p, m in drawn]))
+        items = [(tuple(Fraction(c) for c in p), m) for p, m in drawn]
+        z = io.parse_cycle(doc, M)
+        assert z == t.zero_cycle(M, items)
+        assert repr(z.entries) == repr(zero_cycle_oracle(M, items))
+        if M.kind == "klein":
+            x0 = M.klein_params[0]
+            total = sum((m * Fraction(p[0]) for p, m in zero_cycle_oracle(M, items)), Fraction(0))
+            assert t.albanese_class(M, z) == (z.degree, total % x0)
+
+    @pytest.mark.parametrize("M", PARSE_MANIFOLDS, ids=lambda M: f"{M.kind}{M.dim}")
+    @pytest.mark.parametrize("bad, message", [
+        ("1/0", "cannot parse rational from '1/0'"),
+        ("abc", "cannot parse rational from 'abc'"),
+        (0.5, "not an exact rational: 0.5 (float)"),
+        (None, "not an exact rational: None (NoneType)"),
+        ([], "not an exact rational: [] (list)"),
+        ("9" * 5000, f"cannot parse rational from {'9' * 5000!r}"),
+        (True, "not an exact rational: True (bool)"),
+    ], ids=["zero-denominator", "word", "float", "null", "array", "5000-digits", "boolean"])
+    def test_bad_coordinates_keep_their_error(self, M, bad, message):
+        point = ["1/2"] * M.dim
+        for i in range(M.dim):
+            doc = [{"point": point, "mult": 1},
+                   {"point": point[:i] + [bad] + point[i + 1:], "mult": 1}]
+            with pytest.raises(t.InputError) as info:
+                io.parse_cycle(doc, M)
+            assert type(info.value) is IrrationalData and str(info.value) == message
 
 
 class TestCLI:
@@ -428,6 +499,46 @@ class TestMalformedInputExits1:
         self.assert_usage_error(capsys, "roitman", _write_doc(tmp_path, doc))
 
 
+    @pytest.mark.parametrize("name, path", [
+        ("zp.json", (0, "point", 0)),
+        ("zp.json", (0, "mult")),
+        ("fig1a.json", ("positions", "q", 1)),
+        ("fig1a.json", ("edges", 2, "length")),
+        ("fig1a.json", ("edges+", 2, "image_length")),
+        ("fig1a.json", ("edges+", 2, "weight")),
+        ("fig1a.json", ("edges+", 2, "direction", 0)),
+        ("t2-cycle.json", ("edges+", 1, "deck", "matrix", 0, 0)),
+        ("klein.json", ("klein", "x0")),
+        ("dxdy.json", ("coefficients", 0)),
+    ], ids=["coordinate", "multiplicity", "position", "length", "image-length", "weight",
+            "direction", "matrix-entry", "klein-period", "form-coefficient"])
+    def test_boolean_in_a_number_slot(self, tmp_path, capsys, name, path):
+        """A JSON boolean is not a number: the command that reads the slot
+        exits 0 on the bundled file and 1, with one line, once the slot
+        holds ``true``."""
+        command = {
+            "zp.json": lambda f: ["albanese", _data("klein.json"), f],
+            "fig1a.json": lambda f: ["validate", f],
+            "t2-cycle.json": lambda f: ["validate", f],
+            "klein.json": lambda f: ["albanese", f, _data("zp.json")],
+            "dxdy.json": lambda f: ["isotropy", _data("t2-cycle.json"), "--form", f],
+        }[name]
+        doc = io.load_json(_data(name))
+        assert run_cli(*command(_write_doc(tmp_path, doc))) == 0
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = True
+        capsys.readouterr()
+        self.assert_usage_error(capsys, *command(_write_doc(tmp_path, doc)))
+
+    def test_boolean_point_and_multiplicity(self, tmp_path, capsys):
+        cycle = _write_doc(tmp_path, [{"point": [True, "1/2"], "mult": True}])
+        assert run_cli("--json", "albanese", _data("klein.json"), cycle) == 1
+        assert capsys.readouterr().err == "error: not an exact rational: True (bool)\n"
+
+
 class TestEvValidatesItsCurve:
     def test_unbalanced_ray_weight_exits_2_like_isotropy(self, tmp_path, capsys):
         doc = io.load_json(_data("t2-cycle.json"))
@@ -507,6 +618,70 @@ def malformed_documents(draw):
     return doc
 
 
+NAME_KEYS = ("vertices", "id", "tail", "head", "name", "kind")
+
+
+def _is_rational(value) -> bool:
+    try:
+        Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+def _number_slots(node, path=()):
+    """Paths to every number in a document: an int (not a boolean) or a
+    rational string, but no name, kind or "inf"."""
+    if isinstance(node, dict):
+        items = [(k, v) for k, v in node.items() if k not in NAME_KEYS]
+    else:
+        items = list(enumerate(node))
+    slots = []
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            slots += _number_slots(value, (*path, key))
+        elif type(value) is int or isinstance(value, str) and _is_rational(value):
+            slots.append((*path, key))
+    return slots
+
+
+@st.composite
+def boolean_slots(draw):
+    """A bundled document, the path to one of its number slots, and a boolean."""
+    doc = io.load_json(_data(draw(st.sampled_from(BUNDLED))))
+    return doc, draw(st.sampled_from(_number_slots(doc))), draw(st.booleans())
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+def _invocations(bad: str) -> list[list[str]]:
+    return [
+        ["validate", bad], ["homology", bad], ["forms", "-p", "1", bad],
+        ["deform", bad], ["ev", bad], ["isotropy", bad],
+        ["isotropy", _data("t2-cycle.json"), "--form", bad], ["roitman", bad],
+        ["albanese", bad, _data("zp.json")], ["albanese", _data("klein.json"), bad],
+        ["chow-equiv", bad, _data("zp.json"), _data("ziotap.json")],
+        ["chow-equiv", _data("klein.json"), _data("zp.json"), bad],
+        ["witness", bad, "--relation", "fiber", "--point", "1/2,1"],
+        ["witness", bad, "--relation", "two-torsion", "--point", "1/2,1"],
+    ]
+
+
+def _run_quietly(argv) -> tuple[int, str]:
+    err = textio.StringIO()
+    with contextlib.redirect_stdout(textio.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return code, err.getvalue()
+
+
 class TestMalformedDocumentProperty:
     @given(malformed_documents())
     @settings(max_examples=120, deadline=None)
@@ -515,18 +690,23 @@ class TestMalformedDocumentProperty:
         with tempfile.TemporaryDirectory() as tmp:
             bad = str(Path(tmp) / "bad.json")
             Path(bad).write_text(json.dumps(doc))
-            invocations = [
-                ["validate", bad], ["homology", bad], ["forms", "-p", "1", bad],
-                ["deform", bad], ["ev", bad], ["isotropy", bad],
-                ["isotropy", _data("t2-cycle.json"), "--form", bad], ["roitman", bad],
-                ["albanese", bad, _data("zp.json")], ["albanese", _data("klein.json"), bad],
-                ["chow-equiv", bad, _data("zp.json"), _data("ziotap.json")],
-                ["chow-equiv", _data("klein.json"), _data("zp.json"), bad],
-                ["witness", bad, "--relation", "fiber", "--point", "1/2,1"],
-                ["witness", bad, "--relation", "two-torsion", "--point", "1/2,1"],
-            ]
-            for argv in invocations:
-                with contextlib.redirect_stdout(textio.StringIO()), \
-                        contextlib.redirect_stderr(textio.StringIO()):
-                    code = cli.run(argv)
+            for argv in _invocations(bad):
+                code, _ = _run_quietly(argv)
                 assert code in (0, 1, 2), argv
+
+    @given(boolean_slots())
+    @settings(max_examples=60, deadline=None)
+    def test_a_boolean_number_exits_1_where_a_word_does(self, case):
+        """A boolean in a number slot exits exactly as the word "x" there does:
+        1 with one line wherever the slot is read, and unchanged where the
+        command never reads it (a torus generator's matrix, say)."""
+        doc, path, flag = case
+        with tempfile.TemporaryDirectory() as tmp:
+            boolean, word = str(Path(tmp) / "boolean.json"), str(Path(tmp) / "word.json")
+            Path(boolean).write_text(json.dumps(_replaced(doc, path, flag)))
+            Path(word).write_text(json.dumps(_replaced(doc, path, "x")))
+            for argv, control in zip(_invocations(boolean), _invocations(word)):
+                code, err = _run_quietly(argv)
+                assert code == _run_quietly(control)[0], (argv, path)
+                if code == 1:
+                    assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -311,3 +311,36 @@ class TestAsFraction:
             got = as_fraction(s)
             assert (type(got), got.numerator, got.denominator) == \
                 (type(expected), expected.numerator, expected.denominator)
+
+    @given(st.one_of(
+        st.from_regex(r"-?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True),
+        st.text(alphabet="0123456789-+/ _.e", max_size=10),
+        st.integers(-10**30, 10**30),
+        st.fractions(),
+    ))
+    @example("9" * 5000)
+    @example("-0/7")
+    @example("12/-4")
+    @settings(max_examples=300, deadline=None)
+    def test_ratio_is_the_fraction_in_lowest_terms(self, x):
+        """as_ratio gives as_fraction's numerator and denominator, or raises
+        its error with its message."""
+        try:
+            q = as_fraction(x)
+        except IrrationalData as exc:
+            with pytest.raises(IrrationalData) as info:
+                linalg.as_ratio(x)
+            assert str(info.value) == str(exc)
+            assert type(info.value.__cause__) is type(exc.__cause__)
+        else:
+            assert linalg.as_ratio(x) == (q.numerator, q.denominator)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_booleans_are_not_numbers(self, flag):
+        for coerce in (as_fraction, linalg.as_ratio):
+            with pytest.raises(IrrationalData, match=f"not an exact rational: {flag} \\(bool\\)"):
+                coerce(flag)
+        with pytest.raises(IrrationalData, match=f"not an integer: {flag}"):
+            linalg.as_int(flag)
+        with pytest.raises(IrrationalData):
+            linalg.vector([1, flag])
