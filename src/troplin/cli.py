@@ -19,7 +19,6 @@ from .embedded import (
     boundary_zero_cycle,
     deformation_basis,
     evaluate_at_infinity,
-    require_valid_parametrized,
     validate_parametrized,
 )
 from .errors import InputError, TroplinError
@@ -154,7 +153,6 @@ def _cmd_deform(args) -> int:
 
 def _cmd_ev(args) -> int:
     curve = _load_parametrized(args.file)
-    require_valid_parametrized(curve)
     minus, plus = evaluate_at_infinity(curve)
     boundary = boundary_zero_cycle(curve)
     if args.json:

@@ -58,16 +58,24 @@ class EmbeddedEdgeData:
 
 @dataclass(frozen=True)
 class ParametrizedTropicalCurve:
+    """Read-only throughout, so the one thing it keeps, its validation
+    verdict, never goes stale."""
+
     manifold: AffineQuotientManifold
     abstract: AbstractTropicalCurve
     positions: Mapping[str, tuple]
     edge_data: Mapping[str, EmbeddedEdgeData]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "positions", {str(k): vector(v) for k, v in self.positions.items()}
-        )
-        object.__setattr__(self, "edge_data", dict(self.edge_data))
+        positions = {str(k): vector(v) for k, v in self.positions.items()}
+        object.__setattr__(self, "positions", MappingProxyType(positions))
+        object.__setattr__(self, "edge_data", MappingProxyType(dict(self.edge_data)))
+
+    @cached_property
+    def _verdict(self) -> str | None:
+        """None for a valid curve, else its failure summary."""
+        report = validate_parametrized(self)
+        return None if report.passed else report.failure_summary()
 
     def position(self, vertex_id: str) -> tuple:
         return self.positions[vertex_id]
@@ -328,18 +336,13 @@ def validate_parametrized(h: ParametrizedTropicalCurve) -> Report:
 
 
 def require_valid_parametrized(h: ParametrizedTropicalCurve) -> None:
-    report = validate_parametrized(h)
-    if not report.passed:
-        raise InvalidCurve(report.failure_summary())
+    """Raise ``InvalidCurve`` unless h is valid; validates h at most once."""
+    if h._verdict is not None:
+        raise InvalidCurve(h._verdict)
 
 
 # ---------------------------------------------------------------------------
 # Deformations
-
-
-def _vertex_offsets(h: ParametrizedTropicalCurve) -> dict[str, int]:
-    n = h.manifold.dim
-    return {v: i * n for i, v in enumerate(h.abstract.vertices)}
 
 
 def deformation_constraints(h: ParametrizedTropicalCurve):
@@ -351,7 +354,7 @@ def deformation_constraints(h: ParametrizedTropicalCurve):
     A d.  Semi-infinite edges impose nothing.
     """
     n = h.manifold.dim
-    offsets = _vertex_offsets(h)
+    offsets = {v: i * n for i, v in enumerate(h.abstract.vertices)}
     ncols = n * len(h.abstract.vertices)
     rows = []
     annihilator = cache(linalg.annihilator_basis)  # once per distinct direction, in this call
@@ -375,13 +378,8 @@ def deformation_basis(h: ParametrizedTropicalCurve) -> list[dict[str, tuple]]:
     is that of the solution space of the per-edge parallelism conditions.
     """
     require_valid_parametrized(h)
-    return _deformation_basis(h)
-
-
-def _deformation_basis(h: ParametrizedTropicalCurve) -> list[dict[str, tuple]]:
-    """``deformation_basis`` of a curve the caller has already validated."""
     n = h.manifold.dim
-    offsets = _vertex_offsets(h)
+    offsets = {v: i * n for i, v in enumerate(h.abstract.vertices)}
     basis = linalg.kernel_basis(deformation_constraints(h))
     return [{v: b[off : off + n] for v, off in offsets.items()} for b in basis]
 
@@ -492,9 +490,10 @@ def zero_cycle(M: AffineQuotientManifold, items: Iterable[tuple[Sequence, int]])
 
 def evaluate_at_infinity(h: ParametrizedTropicalCurve) -> tuple[ZeroCycle, ZeroCycle]:
     """Base points of the rays going down (minus) and up (plus), with
-    multiplicity equal to the edge weight, for a valid curve: the curve
-    is not validated here, so check it first (``require_valid_parametrized``)."""
+    multiplicity equal to the edge weight.  Raises ``WrongAmbient`` or
+    ``NotHorizontal`` first, then ``InvalidCurve`` for an invalid curve."""
     base, ends = horizontal_ends(h)
+    require_valid_parametrized(h)
     return tuple(
         zero_cycle(base, [(h.position(tail)[:-1], w) for s, w, tail in ends if s == sign])
         for sign in (-1, 1)
@@ -502,7 +501,8 @@ def evaluate_at_infinity(h: ParametrizedTropicalCurve) -> tuple[ZeroCycle, ZeroC
 
 
 def boundary_zero_cycle(h: ParametrizedTropicalCurve) -> ZeroCycle:
-    """The 0-cycle (plus ends) - (minus ends); degree zero for a valid curve,
-    which is not checked here."""
+    """The 0-cycle (plus ends) - (minus ends), of degree zero; raises as
+    ``evaluate_at_infinity`` does."""
     base, ends = horizontal_ends(h)
+    require_valid_parametrized(h)
     return zero_cycle(base, [(h.position(tail)[:-1], sign * w) for sign, w, tail in ends])

@@ -29,10 +29,6 @@ from .manifold import (
     AffineQuotientManifold,
     DeckElement,
     TropicalForm,
-    make_euclidean,
-    make_klein,
-    make_torus,
-    product_with_line,
 )
 from .pairing import Block, GradedSpace
 
@@ -134,38 +130,40 @@ def manifold_json(M: AffineQuotientManifold) -> dict:
     return doc
 
 
+_KINDS = (KIND_EUCLIDEAN, KIND_TORUS, KIND_KLEIN, KIND_PRODUCT, KIND_GENERAL)
+
+
 def parse_manifold(doc: dict) -> AffineQuotientManifold:
+    """Every kind takes one path: each generator is read with ``parse_deck``
+    under its name, and ``AffineQuotientManifold`` refuses a document whose
+    dimension, generators, base or ``klein`` block contradict each other."""
     what = "a manifold document"
     kind = _member(_expect(doc, dict, what), "kind", what, str)
-    if kind == KIND_EUCLIDEAN:
-        return make_euclidean(_int(_member(doc, "dim", what)))
-    if kind == KIND_PRODUCT:
-        if "base" not in doc:
-            raise InputError("product manifold document needs a base")
-        return product_with_line(parse_manifold(doc["base"]))
-    if kind == KIND_KLEIN and doc.get("klein") is not None:
-        params = _expect(doc["klein"], dict, "the 'klein' entry")
-        return make_klein(_member(params, "x0", "the 'klein' entry"),
-                          _member(params, "y0", "the 'klein' entry"))
-    if kind not in (KIND_TORUS, KIND_KLEIN, KIND_GENERAL):
+    if kind not in _KINDS:
         raise InputError(f"unknown manifold kind {kind!r}")
+    base = parse_manifold(_member(doc, "base", what)) if kind == KIND_PRODUCT else None
     gens = _objects(_member(doc, "generators", what, list), "a generator")
-    if kind == KIND_TORUS:
-        return make_torus([parse_vector(_member(g, "translation", "a generator")) for g in gens])
+    defaults = ["a", "b"] if kind == KIND_KLEIN else []
+    defaults += [f"{'t' if kind == KIND_TORUS else 'g'}{i + 1}" for i in range(len(gens))]
+    names = tuple(_expect(g.get("name", d), str, "a generator name") for g, d in zip(gens, defaults))
+    decks = tuple(parse_deck(g) for g in gens)
+    params = None
     if kind == KIND_KLEIN:
-        named = {g["name"]: g for g in gens if g.get("name") in ("a", "b")}
-        if len(named) != 2:
-            raise InputError("a klein document needs a 'klein' entry or generators 'a' and 'b'")
-        a, b = (parse_vector(_member(named[k], "translation", "a generator")) for k in "ab")
-        if len(a) != 2 or len(b) != 2:
-            raise InputError("klein generators need 2-coordinate translations")
-        return make_klein(b[0], a[1])
-    names = tuple(
-        _expect(g.get("name", f"g{i + 1}"), str, "a generator name") for i, g in enumerate(gens)
-    )
-    return AffineQuotientManifold(
-        _int(_member(doc, "dim", what)), tuple(parse_deck(g) for g in gens), names, KIND_GENERAL
-    )
+        params = _klein_params(doc.get("klein"), dict(zip(names, decks)))
+    return AffineQuotientManifold(_int(_member(doc, "dim", what)), decks, names, kind, params, base)
+
+
+def _klein_params(block, named: dict) -> tuple[Fraction, Fraction]:
+    """(x0, y0) from a ``klein`` block, or else from generators a and b."""
+    if block is not None:
+        block = _expect(block, dict, "the 'klein' entry")
+        return tuple(as_fraction(_member(block, k, "the 'klein' entry")) for k in ("x0", "y0"))
+    if "a" not in named or "b" not in named:
+        raise InputError("a klein document needs a 'klein' entry or generators 'a' and 'b'")
+    a, b = named["a"].translation, named["b"].translation
+    if len(a) != 2 or len(b) != 2:
+        raise InputError("klein generators need 2-coordinate translations")
+    return as_fraction(b[0]), as_fraction(a[1])
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,7 @@ from .embedded import (
     ParametrizedTropicalCurve,
     ZeroCycle,
     boundary_zero_cycle,
-    is_horizontal_at_infinity,
     parametrized_curve,
-    require_valid_parametrized,
     zero_cycle,
 )
 from .errors import (
@@ -284,8 +282,8 @@ def modification_curve(
 
     Finite edges follow the graph of f; each breakpoint with slope change
     m carries a vertical ray of weight |m| toward -infinity when m > 0 and
-    +infinity when m < 0.  The result is validated before being returned,
-    and its boundary cycle is checked against the pushed-forward divisor.
+    +infinity when m < 0.  ``boundary_zero_cycle`` validates the result and
+    its boundary cycle is checked against the pushed-forward divisor.
     """
     if f.circumference != circle.circumference:
         raise ValueError("function and circle have different circumferences")
@@ -343,9 +341,6 @@ def modification_curve(
         positions,
         edges_emb,
     )
-    require_valid_parametrized(h)
-    if not is_horizontal_at_infinity(h):
-        raise InvalidCurve("modification produced a non-horizontal curve")
     expected = zero_cycle(
         B,
         [(circle.point_at(t), -m) for t, m in f.divisor()],

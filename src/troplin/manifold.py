@@ -77,17 +77,10 @@ class DeckElement:
         return DeckElement(AB, self.apply(other.translation))
 
     def inverse(self) -> "DeckElement":
-        A = self.matrix()
-        n = self.dim
-        inv_rows = []
-        for i in range(n):
-            e_i = [1 if k == i else 0 for k in range(n)]
-            col = linalg.solve_rational(A, e_i)
-            inv_rows.append(col)
-        # solve gives columns of A^-1; assemble and transpose.
-        Ainv = tuple(tuple(as_int(inv_rows[j][i]) for j in range(n)) for i in range(n))
-        t = vector(-x for x in linalg.mat_vec(Ainv, self.translation))
-        return DeckElement(Ainv, t)
+        """x -> A^-1 (x - t), with A^-1 = det(A) adj(A) since det(A) = +-1."""
+        det, adj = _adjugate(self.linear)
+        Ainv = tuple(tuple(det * c for c in row) for row in adj)
+        return DeckElement(Ainv, vector(-x for x in linalg.mat_vec(Ainv, self.translation)))
 
     def is_identity(self) -> bool:
         return self.linear == _identity(self.dim) and not any(self.translation)
@@ -128,6 +121,8 @@ class AffineQuotientManifold:
     base: "AffineQuotientManifold | None" = None
 
     def __post_init__(self):
+        if self.dim < 0:
+            raise NonPositiveParameter("dimension must be nonnegative")
         if len(self.generators) != len(self.names):
             raise ValueError("one name per generator")
         for g in self.generators:
@@ -146,6 +141,8 @@ class AffineQuotientManifold:
             if self.klein_params is None or len(self.generators) != 2:
                 raise ValueError("klein manifolds carry (x0, y0) and two generators")
             x0, y0 = self.klein_params
+            if x0 <= 0 or y0 <= 0:
+                raise NonPositiveParameter("klein parameters must be positive")
             a, b = self.generators
             if (
                 a.linear != ((1, 0), (0, 1))
@@ -159,6 +156,9 @@ class AffineQuotientManifold:
         if self.kind == KIND_PRODUCT:
             if self.base is None or self.base.dim + 1 != self.dim:
                 raise ValueError("product manifolds carry their base, one dimension down")
+            own = [(g.linear, g.translation) for g in self.generators]
+            if own != [_extended(g) for g in self.base.generators]:
+                raise ValueError("product generators must be the base generators, extended")
 
     def generator(self, name: str) -> DeckElement:
         try:
@@ -185,8 +185,6 @@ class AffineQuotientManifold:
 
 def make_euclidean(n: int) -> AffineQuotientManifold:
     """R^n with the trivial deck group."""
-    if n < 0:
-        raise NonPositiveParameter("dimension must be nonnegative")
     return AffineQuotientManifold(n, (), (), KIND_EUCLIDEAN)
 
 
@@ -207,18 +205,19 @@ def make_klein(x0, y0) -> AffineQuotientManifold:
     """The tropical Klein bottle with deck group generated by
     a(x, y) = (x, y + y0) and b(x, y) = (x + x0, -y)."""
     x0, y0 = as_fraction(x0), as_fraction(y0)
-    if x0 <= 0 or y0 <= 0:
-        raise NonPositiveParameter("klein parameters must be positive")
     a = DeckElement(((1, 0), (0, 1)), (0, y0))
     b = DeckElement(((1, 0), (0, -1)), (x0, 0))
     return AffineQuotientManifold(2, (a, b), ("a", "b"), KIND_KLEIN, klein_params=(x0, y0))
 
 
+def _extended(g: DeckElement) -> tuple[tuple, tuple]:
+    """The linear part and translation of g acting trivially on one extra coordinate."""
+    return tuple(row + (0,) for row in g.linear) + ((0,) * g.dim + (1,),), g.translation + (0,)
+
+
 def extend_deck(g: DeckElement) -> DeckElement:
     """The same transformation acting trivially on one extra coordinate."""
-    n = g.dim
-    linear = tuple(tuple(list(row) + [0]) for row in g.linear) + (tuple([0] * n + [1]),)
-    return DeckElement(linear, tuple(list(g.translation) + [0]))
+    return DeckElement(*_extended(g))
 
 
 def product_with_line(M: AffineQuotientManifold) -> AffineQuotientManifold:
@@ -439,24 +438,30 @@ def _scaled(x: Sequence, base: int) -> tuple[list[int], int]:
     return [n * (d // e) for n, e in q], d
 
 
+def _adjugate(A: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(det A, adj A) of a square integer matrix, with every cofactor read
+    off one table of (n-1) x (n-1) minors, so nothing is eliminated."""
+    n = len(A)
+    minors = _minor_table(A, n - 1)
+
+    def cofactor(i: int, j: int) -> int:
+        rest = tuple(r for r in range(n) if r != i), tuple(c for c in range(n) if c != j)
+        return (-1) ** (i + j) * minors[rest]
+
+    adj = [[cofactor(j, i) for j in range(n)] for i in range(n)]
+    return (sum(A[0][j] * adj[j][0] for j in range(n)) if n else 1), adj
+
+
 def _torus_reduction(M: AffineQuotientManifold) -> Callable:
     """x -> V (V^-1 x mod 1) for the lattice matrix V = A / a, A integral.
 
-    V^-1 = a adj(A) / det(A), with the adjugate read off one table of
-    (n-1) x (n-1) minors of A, so no point needs an elimination.
+    V^-1 = a adj(A) / det(A), so no point needs an elimination.
     """
     a = lcm(*(c.denominator for g in M.generators for c in g.translation))
     A = [[as_int(c * a) for c in row] for row in zip(*(g.translation for g in M.generators))]
-    dim = M.dim
-    minors = _minor_table(A, dim - 1)
-
-    def cofactor(i: int, j: int) -> int:
-        rest = tuple(r for r in range(dim) if r != i), tuple(c for c in range(dim) if c != j)
-        return (-1) ** (i + j) * minors[rest]
-
-    det = sum(A[0][j] * cofactor(0, j) for j in range(dim))
+    det, adj = _adjugate(A)
     sign = 1 if det > 0 else -1
-    W = [[sign * a * cofactor(j, i) for j in range(dim)] for i in range(dim)]  # V^-1 = W / |det|
+    W = [[sign * a * c for c in row] for row in adj]  # V^-1 = W / |det|
 
     def reduce(n: list[int], d: int) -> tuple[list[int], int]:
         q = abs(det) * d

@@ -19,7 +19,6 @@ from . import linalg
 from .curve import LocallyConstantForm, satisfies_vertex_equations
 from .embedded import (
     ParametrizedTropicalCurve,
-    _deformation_basis,
     _satisfies,
     deformation_basis,
     deformation_constraints,
@@ -133,7 +132,7 @@ def isotropy_check(
             "vacuous", f"no nonzero invariant {degree}-forms on the base (rank 0)"
         )
         return report
-    basis = _deformation_basis(h)
+    basis = deformation_basis(h)
     tuples = p_subsets(len(basis), degree)
     parts = [(sign * weight, [D[tail][:-1] for D in basis]) for sign, weight, tail in ends]
     for fi, form in enumerate(forms):

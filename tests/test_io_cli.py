@@ -20,6 +20,7 @@ from oracles import zero_cycle_oracle
 import troplin as t
 from troplin import cli, io
 from troplin.errors import IrrationalData
+from troplin.manifold import translation_deck
 
 
 DATA = Path(t.data_path("fig1a.json")).parent
@@ -474,6 +475,31 @@ class TestMalformedInputExits1:
         doc["klein"]["x0"] = "-1"
         self.assert_usage_error(capsys, "forms", "-p", "1", _write_doc(tmp_path, doc))
 
+    def test_torus_generators_that_are_not_translations(self, tmp_path, capsys):
+        torus = _write_doc(tmp_path, {"kind": "torus", "dim": 2, "generators": [
+            {"name": "t1", "matrix": [[0, 1], [1, 0]], "translation": ["4", "0"]},
+            {"name": "t2", "matrix": [[7, 0], [0, 7]], "translation": ["0", "4"]},
+        ]})
+        self.assert_usage_error(capsys, "forms", "--degree", "1", torus)
+
+    def test_klein_generator_disagrees_with_the_block(self, tmp_path, capsys):
+        doc = io.load_json(_data("klein.json"))
+        b = next(g for g in doc["generators"] if g["name"] == "b")
+        b["matrix"], b["translation"] = [[1, 0], [0, 1]], ["7", "0"]
+        assert doc["klein"] == {"x0": "2", "y0": "3"}
+        self.assert_usage_error(capsys, "albanese", _write_doc(tmp_path, doc), _data("zp.json"))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_product_dimension_not_base_plus_one(self, tmp_path, capsys, dim):
+        doc = io.manifold_json(t.product_with_line(t.make_torus([(4, 0), (0, 4)])))
+        doc["dim"] = dim
+        self.assert_usage_error(capsys, "forms", "--degree", "1", _write_doc(tmp_path, doc))
+
+    def test_product_generators_disagree_with_the_base(self, tmp_path, capsys):
+        doc = io.manifold_json(t.product_with_line(t.make_torus([(4, 0), (0, 4)])))
+        doc["generators"][0]["translation"] = ["5", "0", "0"]
+        self.assert_usage_error(capsys, "forms", "--degree", "1", _write_doc(tmp_path, doc))
+
     def test_isotropy_degree_below_two(self, capsys):
         self.assert_usage_error(capsys, "isotropy", _data("t2-cycle.json"), "--degree", "1")
 
@@ -537,6 +563,23 @@ class TestMalformedInputExits1:
         cycle = _write_doc(tmp_path, [{"point": [True, "1/2"], "mult": True}])
         assert run_cli("--json", "albanese", _data("klein.json"), cycle) == 1
         assert capsys.readouterr().err == "error: not an exact rational: True (bool)\n"
+
+
+class TestManifoldDocumentsAgree:
+    """Every generator of a manifold document is parsed, under its name."""
+
+    def test_torus_generator_names_resolve_words(self):
+        doc = io.manifold_json(t.make_torus([(4, 0), (0, 4)]))
+        for g, name in zip(doc["generators"], "ab"):
+            g["name"] = name
+        T = io.parse_manifold(doc)
+        assert T.names == ("a", "b")
+        assert io.parse_deck("a^-1", T) == translation_deck((-4, 0))
+
+    def test_klein_without_block_matches_make_klein(self):
+        doc = io.load_json(_data("klein.json"))
+        del doc["klein"]
+        assert io.parse_manifold(doc) == t.make_klein(2, 3)
 
 
 class TestEvValidatesItsCurve:

@@ -24,6 +24,23 @@ from troplin import manifold
 from troplin.manifold import _signed_gram, contains_deck, identity_deck, translation_deck
 
 
+@st.composite
+def unimodular_decks(draw):
+    """A deck of dimension 1-3: a signed permutation times elementary row
+    operations, with a rational translation."""
+    n = draw(st.integers(1, 3))
+    perm = draw(st.permutations(range(n)))
+    A = [[draw(st.sampled_from([-1, 1])) * int(j == perm[i]) for j in range(n)]
+         for i in range(n)]
+    if n > 1:
+        for _ in range(draw(st.integers(0, 4))):
+            i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(n) if i != j]))
+            k = draw(st.integers(-3, 3))
+            A[i] = [x + k * y for x, y in zip(A[i], A[j])]
+    translation = draw(st.lists(st.fractions(-5, 5, max_denominator=6), min_size=n, max_size=n))
+    return t.DeckElement(tuple(map(tuple, A)), tuple(translation))
+
+
 class TestConstructors:
     def test_make_klein_generators(self):
         K = t.make_klein(2, 3)
@@ -82,6 +99,21 @@ class TestApplyDeck:
         for g in K.generators:
             assert g.compose(g.inverse()).is_identity()
             assert g.inverse().compose(g).is_identity()
+
+    @given(unimodular_decks())
+    @settings(max_examples=100, deadline=None)
+    def test_inverse_of_unimodular_decks(self, g):
+        assert g.compose(g.inverse()).is_identity()
+        assert g.inverse().compose(g).is_identity()
+
+    def test_inverse_solves_nothing(self, monkeypatch):
+        """Deck inverses come from the adjugate, so negative powers eliminate nothing."""
+        calls = []
+        solve = t.linalg.solve_rational
+        monkeypatch.setattr(t.linalg, "solve_rational", lambda *a: calls.append(a) or solve(*a))
+        g = t.make_klein(2, 3).deck_from_word("a^-1 b^-2")
+        assert g == t.DeckElement(((1, 0), (0, 1)), (-4, -3))
+        assert calls == []
 
     def test_large_powers_match_closed_form(self):
         """b^k (x, y) = (x + k x0, (-1)^k y), at exponents a linear loop cannot reach."""

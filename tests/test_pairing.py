@@ -1,5 +1,6 @@
 """Contraction pairing, isotropy verification, and the dimension bound."""
 
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -17,7 +18,9 @@ from oracles import form_value_oracle
 import troplin as t
 from troplin import embedded, io, pairing
 from troplin.curve import satisfies_vertex_equations
-from troplin.errors import DimensionMismatch, NotADeformation, NotHorizontal, WrongAmbient
+from troplin.errors import (
+    DimensionMismatch, InvalidCurve, NotADeformation, NotHorizontal, WrongAmbient,
+)
 from troplin.manifold import translation_deck
 from troplin.pairing import end_evaluation, wedge_with_last
 
@@ -363,8 +366,7 @@ class TestRoitman:
             {v: tuple(rng.randint(-3, 3) for _ in range(dim + 1)) for v in h.abstract.vertices}
             for _ in range(rng.randint(degree, degree + 2))
         ]
-        with mock.patch.object(pairing, "_deformation_basis", lambda h: basis), \
-                mock.patch.object(pairing, "deformation_basis", lambda h: basis):
+        with mock.patch.object(pairing, "deformation_basis", lambda h: basis):
             (check,) = t.isotropy_check(h, form).checks
             space, vectors = t.infinity_restriction(h, form)
         values = [Fraction(part.split("=")[1]) for part in check.detail.split("; ")]
@@ -372,7 +374,8 @@ class TestRoitman:
 
 
 class TestOnePassPerCall:
-    """A public call validates its curve once and builds its constraints once."""
+    """A curve is validated once, counted from its construction, however
+    many public calls read it; each call builds its constraints once."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -394,13 +397,94 @@ class TestOnePassPerCall:
         dxdy = io.parse_form(io.load_json(str(t.data_path("dxdy.json"))))
         assert t.isotropy_check(h, dxdy).passed
         assert calls == {"validate_parametrized": 1, "deformation_constraints": 1}
+        t.infinity_restriction(h, dxdy)
+        assert calls == {"validate_parametrized": 1, "deformation_constraints": 2}
 
-    def test_phi_contract_with_two_deformations(self, t2_witness, calls):
+    def test_phi_contract_with_two_deformations(self, calls):
+        T = t.make_torus([(4, 0), (0, 4)])
+        circle = t.circle_embedding(T, (0, 0), (1, 0), 4, translation_deck((-4, 0)))
+        h = t.modification_curve(circle, t.principal_function(4, [(0, 2), (2, -2)]))
+        assert calls == {"validate_parametrized": 1}
         dxdydt = t.TropicalForm(3, 3, (1,))
-        D1 = {v: (1, 0, 0) for v in t2_witness.abstract.vertices}
-        D2 = {v: (0, 1, 0) for v in t2_witness.abstract.vertices}
-        t.phi_contract(t2_witness, dxdydt, [D1, D2])
-        assert calls == {"validate_parametrized": 1, "deformation_constraints": 1}
+        D1 = {v: (1, 0, 0) for v in h.abstract.vertices}
+        D2 = {v: (0, 1, 0) for v in h.abstract.vertices}
+        readers = [
+            lambda: t.isotropy_check(h, AREA),
+            lambda: t.infinity_restriction(h, AREA),
+            lambda: t.deformation_basis(h),
+            lambda: t.phi_contract(h, dxdydt, [D1, D2]),
+        ]
+        for built, reader in enumerate(readers, start=1):
+            reader()
+            assert calls == {"validate_parametrized": 1, "deformation_constraints": built}
+        assert t.boundary_zero_cycle(h).degree == 0
+        assert calls == {"validate_parametrized": 1, "deformation_constraints": len(readers)}
+
+
+class TestReadOnlyCurve:
+    """A curve cannot be changed after construction, so its one verdict
+    holds for as long as the object lives."""
+
+    @staticmethod
+    def counting(monkeypatch) -> list:
+        runs, original = [], embedded.validate_parametrized
+        monkeypatch.setattr(embedded, "validate_parametrized",
+                            lambda h: runs.append(h) or original(h))
+        return runs
+
+    @staticmethod
+    def unbalanced(torus4):
+        """A vertex in T^2 x R with two vertical rays of weights 1 and 2."""
+        return t.parametrized_curve(
+            t.product_with_line(torus4),
+            t.abstract_curve("v", [("up", "v", None, t.INF), ("dn", "v", None, t.INF)]),
+            {"v": (0, 0, 0)},
+            {
+                "up": dict(direction=(0, 0, 1), image_length=t.INF),
+                "dn": dict(direction=(0, 0, -1), weight=2, image_length=t.INF),
+            },
+        )
+
+    def test_positions_and_edge_data_refuse_writes(self, t2_witness):
+        v = t2_witness.abstract.vertices[0]
+        e = t2_witness.abstract.edges[0].id
+        with pytest.raises(TypeError):
+            t2_witness.positions[v] = (0, 0, 0)
+        with pytest.raises(TypeError):
+            t2_witness.edge_data[e] = t2_witness.edge_data[e]
+
+    def test_replace_validates_the_new_curve(self, monkeypatch, t2_witness):
+        runs = self.counting(monkeypatch)
+        t.deformation_basis(t2_witness)
+        assert runs == []  # modification_curve validated it when it was built
+        v = t2_witness.abstract.vertices[0]
+        moved = dataclasses.replace(
+            t2_witness, positions={**t2_witness.positions, v: (1, 1, 1)}
+        )
+        with pytest.raises(InvalidCurve, match="does not reach head"):
+            t.deformation_basis(moved)
+        assert runs == [moved]
+        t.deformation_basis(t2_witness)
+        assert runs == [moved]
+
+    def test_invalid_curve_keeps_its_message(self, monkeypatch, torus4):
+        runs = self.counting(monkeypatch)
+        h = self.unbalanced(torus4)
+        messages = []
+        for reader in (t.deformation_basis, t.isotropy_check, t.deformation_basis):
+            with pytest.raises(InvalidCurve) as err:
+                reader(h)
+            messages.append(str(err.value))
+        assert len(set(messages)) == 1 and "residual" in messages[0]
+        assert runs == [h]
+
+    @pytest.mark.parametrize("reader", [t.evaluate_at_infinity, t.boundary_zero_cycle],
+                             ids=["evaluate_at_infinity", "boundary_zero_cycle"])
+    def test_end_readers_refuse_an_invalid_curve(self, torus4, reader):
+        h = self.unbalanced(torus4)
+        assert t.is_horizontal_at_infinity(h)
+        with pytest.raises(InvalidCurve, match="residual"):
+            reader(h)
 
 
 class TestEndsReadInOnePlace:
