@@ -5,14 +5,14 @@ Python Fractions so that a library bug cannot hide behind shared code:
 row reduction for ranks, nullities and kernels, Leibniz determinants and
 the tuple-by-tuple evaluation of forms, lattice membership by
 determinantal divisors, minor-based deformation constraints, the position
-check, brute-force orbit enumeration on the Klein deck group, an
-arc-by-arc walk for functions on a circle, the all-pairs,
-elimination-based euclidean embeddedness check, and 0-cycles built point
-by point in Fractions.
+check, brute-force orbit enumeration on the Klein deck group, deck groups
+enumerated in normal form for membership, an arc-by-arc walk for
+functions on a circle, the all-pairs, elimination-based euclidean
+embeddedness check, and 0-cycles built point by point in Fractions.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb, floor, gcd, prod
 
 INF = float("inf")
@@ -211,6 +211,39 @@ def klein_orbit_points(x0, y0, point, window=5):
             sign = 1 if k % 2 == 0 else -1
             out.append((x + k * x0, sign * (y + m * y0)))
     return out
+
+
+def deck_group_oracle(M, window=3):
+    """Every element (linear part, translation) of M's deck group in normal
+    form with exponents in [-window, window]: b^k a^m = (diag(1, (-1)^k),
+    (k x0, (-1)^k m y0)) on a Klein bottle, t1^i1 ... tn^in = (I, sum i_j v_j)
+    on a torus, only the identity on R^n, and the base's elements acting
+    trivially on the last coordinate of a product with a line."""
+    exponents = range(-window, window + 1)
+    if M.kind == "euclidean":
+        yield tuple(tuple(int(i == j) for j in range(M.dim)) for i in range(M.dim)), (0,) * M.dim
+    elif M.kind == "torus":
+        identity = tuple(tuple(int(i == j) for j in range(M.dim)) for i in range(M.dim))
+        for ks in product(exponents, repeat=M.dim):
+            yield identity, tuple(sum(k * Fraction(g.translation[i]) for k, g in
+                                      zip(ks, M.generators)) for i in range(M.dim))
+    elif M.kind == "klein":
+        x0, y0 = (Fraction(c) for c in M.klein_params)
+        for k, m in product(exponents, repeat=2):
+            sign = -1 if k % 2 else 1
+            yield ((1, 0), (0, sign)), (k * x0, sign * m * y0)
+    elif M.kind == "product_with_line":
+        for A, t in deck_group_oracle(M.base, window):
+            yield tuple(row + (0,) for row in A) + ((0,) * len(A) + (1,),), t + (0,)
+    else:
+        raise ValueError(f"no oracle deck group for kind {M.kind!r}")
+
+
+def deck_membership_oracle(M, linear, translation, window=3):
+    """Whether (linear, translation) is one of the enumerated deck elements;
+    the window must cover the translation."""
+    element = tuple(map(tuple, linear)), tuple(Fraction(c) for c in translation)
+    return element in set(deck_group_oracle(M, window))
 
 
 def klein_fiber_circumference_oracle(x0, y0, anchor, direction, window=5):

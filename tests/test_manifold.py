@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    deck_membership_oracle,
     fixed_form_rank_oracle,
     form_value_oracle,
     gram_oracle,
@@ -494,6 +495,36 @@ class TestPeriodicReductionProperties:
         flipped = [list(row) for row in g.linear]
         flipped[1][1] = -flipped[1][1]  # swaps I and diag(1, -1) on the first two axes
         assert contains_deck(M, t.DeckElement(flipped, g.translation)) is False
+
+    @given(st.sampled_from(MEMBERSHIP_MANIFOLDS + [t.make_euclidean(2)]), st.booleans(),
+           st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_membership_matches_the_enumerated_group(self, M, flip, data):
+        """contains_deck against the group enumerated in normal form, on
+        A in {I, diag(1, -1)} (extended by the identity) and translations on
+        a quarter-period grid: quarters of each generator's translation,
+        and quarters on the coordinates no generator moves."""
+        quarters = st.one_of(st.integers(-3, 3).map(lambda k: 4 * k), st.integers(-12, 12))
+        n = len(M.generators)
+        counts = data.draw(st.lists(quarters, min_size=n, max_size=n))
+        free = data.draw(st.lists(st.one_of(st.just(0), quarters),
+                                  min_size=M.dim - n, max_size=M.dim - n))
+        translation = [Fraction(c, 4) for c in [0] * (M.dim - len(free)) + free]
+        for c, g in zip(counts, M.generators):
+            translation = [x + Fraction(c, 4) * y for x, y in zip(translation, g.translation)]
+        A = [[int(i == j) for j in range(M.dim)] for i in range(M.dim)]
+        A[1][1] = -1 if flip else 1
+        expected = deck_membership_oracle(M, A, translation)
+        assert contains_deck(M, t.DeckElement(A, translation)) is expected
+        if M.kind == "euclidean":
+            assert expected is (not flip and not any(translation))
+
+    def test_general_membership_is_undecided_beyond_the_identity(self):
+        M = t.AffineQuotientManifold(2, (), (), "general")
+        assert contains_deck(M, identity_deck(2)) is True
+        assert contains_deck(M, translation_deck((1, 0))) is None
+        assert contains_deck(M, t.DeckElement(((1, 0), (0, -1)), (0, 0))) is None
+        assert contains_deck(t.product_with_line(M), translation_deck((1, 0, 0))) is None
 
     @given(st.sampled_from([SKEW_TORUS, NEGATIVE_TORUS]),
            st.lists(st.integers(-4, 4), min_size=2, max_size=2),
