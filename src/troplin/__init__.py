@@ -84,7 +84,6 @@ from .manifold import (
     DeckElement,
     TropicalForm,
     albanese_data,
-    apply_deck,
     invariant_forms,
     make_euclidean,
     make_klein,

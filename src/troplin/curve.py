@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from . import linalg
@@ -52,6 +53,16 @@ class AbstractTropicalCurve:
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(self.vertices))
+        object.__setattr__(self, "edges", tuple(self.edges))
+
+    @cached_property
+    def _verdict(self) -> str | None:
+        """None for a valid curve, else its failure summary."""
+        report = validate_abstract(self)
+        return None if report.passed else report.failure_summary()
+
     def finite_edges(self) -> list[Edge]:
         return [e for e in self.edges if not e.is_infinite]
 
@@ -62,8 +73,8 @@ class AbstractTropicalCurve:
 def abstract_curve(vertices: Sequence[str], edges: Sequence[tuple]) -> AbstractTropicalCurve:
     """Build a curve from (id, tail, head_or_None, length) tuples."""
     return AbstractTropicalCurve(
-        tuple(str(v) for v in vertices),
-        tuple(Edge(str(i), str(t), None if h is None else str(h), l) for i, t, h, l in edges),
+        [str(v) for v in vertices],
+        [Edge(str(i), str(t), None if h is None else str(h), l) for i, t, h, l in edges],
     )
 
 
@@ -106,9 +117,9 @@ def validate_abstract(curve: AbstractTropicalCurve) -> Report:
 
 
 def require_valid(curve: AbstractTropicalCurve) -> None:
-    report = validate_abstract(curve)
-    if not report.passed:
-        raise InvalidCurve(report.failure_summary())
+    """Raise ``InvalidCurve`` unless the curve is valid; validates it at most once."""
+    if curve._verdict is not None:
+        raise InvalidCurve(curve._verdict)
 
 
 def boundary_matrix(curve: AbstractTropicalCurve):

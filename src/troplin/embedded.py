@@ -386,6 +386,7 @@ def deformation_basis(h: ParametrizedTropicalCurve) -> list[dict[str, tuple]]:
 
 def is_deformation(h: ParametrizedTropicalCurve, assignment: Mapping[str, Sequence]) -> bool:
     """Whether a vertex assignment satisfies every edge condition of h."""
+    require_valid_parametrized(h)
     return _satisfies(h, deformation_constraints(h), assignment)
 
 

@@ -170,20 +170,21 @@ def fiber_position(circle: FiberCircle, p: Sequence) -> Fraction:
 
 
 def _normalize_divisor(c: Fraction, divisor: Sequence[tuple]) -> list[tuple[Fraction, int]]:
+    """The sorted (point mod c, multiplicity) pairs of a degree-zero divisor,
+    merged, without zeros."""
     acc: dict[Fraction, int] = {}
     for t, m in divisor:
         key = as_fraction(t) % c
         acc[key] = acc.get(key, 0) + as_int(m)
+    if sum(acc.values()) != 0:
+        raise NonZeroDegree("divisor must have degree zero")
     return sorted((t, m) for t, m in acc.items() if m != 0)
 
 
 def circle_jacobian_class(c, divisor: Sequence[tuple]) -> Fraction:
     """Sum of m_i * t_i modulo the circumference, for degree-zero divisors."""
     c = as_fraction(c)
-    items = _normalize_divisor(c, divisor)
-    if sum(m for _, m in items) != 0:
-        raise NonZeroDegree("divisor must have degree zero")
-    return sum(m * t for t, m in items) % c
+    return sum(m * t for t, m in _normalize_divisor(c, divisor)) % c
 
 
 @dataclass(frozen=True)
@@ -250,8 +251,6 @@ def principal_function(c, divisor: Sequence[tuple]) -> PiecewiseLinearFunction:
     """
     c = as_fraction(c)
     items = _normalize_divisor(c, divisor)
-    if sum(m for _, m in items) != 0:
-        raise NonZeroDegree("divisor must have degree zero")
     if not items:
         return PiecewiseLinearFunction(c, (), (), ())
     sigma, klass = divmod(sum(m * t for t, m in items), c)  # slope offset, class

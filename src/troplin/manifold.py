@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import gcd, lcm, prod
 from operator import mul
@@ -54,9 +55,6 @@ class DeckElement:
     @property
     def dim(self) -> int:
         return len(self.translation)
-
-    def matrix(self) -> linalg.Matrix:
-        return matrix(self.linear)
 
     def apply(self, x: Sequence) -> tuple:
         """The image A x + t."""
@@ -157,7 +155,7 @@ class AffineQuotientManifold:
             if self.base is None or self.base.dim + 1 != self.dim:
                 raise ValueError("product manifolds carry their base, one dimension down")
             own = [(g.linear, g.translation) for g in self.generators]
-            if own != [_extended(g) for g in self.base.generators]:
+            if own != [(_extended(g.linear), g.translation + (0,)) for g in self.base.generators]:
                 raise ValueError("product generators must be the base generators, extended")
 
     def generator(self, name: str) -> DeckElement:
@@ -210,25 +208,20 @@ def make_klein(x0, y0) -> AffineQuotientManifold:
     return AffineQuotientManifold(2, (a, b), ("a", "b"), KIND_KLEIN, klein_params=(x0, y0))
 
 
-def _extended(g: DeckElement) -> tuple[tuple, tuple]:
-    """The linear part and translation of g acting trivially on one extra coordinate."""
-    return tuple(row + (0,) for row in g.linear) + ((0,) * g.dim + (1,),), g.translation + (0,)
+def _extended(A: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The linear part A acting trivially on one extra coordinate."""
+    return tuple(row + (0,) for row in A) + ((0,) * len(A) + (1,),)
 
 
 def extend_deck(g: DeckElement) -> DeckElement:
     """The same transformation acting trivially on one extra coordinate."""
-    return DeckElement(*_extended(g))
+    return DeckElement(_extended(g.linear), g.translation + (0,))
 
 
 def product_with_line(M: AffineQuotientManifold) -> AffineQuotientManifold:
     """M x R: one extra coordinate on which the deck group acts trivially."""
     gens = tuple(extend_deck(g) for g in M.generators)
     return AffineQuotientManifold(M.dim + 1, gens, M.names, KIND_PRODUCT, base=M)
-
-
-def apply_deck(g: DeckElement, x: Sequence) -> tuple:
-    """The image A x + t of a point under a deck element."""
-    return g.apply(x)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +371,7 @@ class TropicalForm:
         return TropicalForm(self.dim, self.degree, tuple(self.gram(columns)))
 
     def is_invariant(self, M: AffineQuotientManifold) -> bool:
-        return all(self.pullback(g.matrix()) == self for g in M.generators)
+        return all(self.pullback(g.linear) == self for g in M.generators)
 
 
 def invariant_forms(M: AffineQuotientManifold, p: int) -> list[TropicalForm]:
@@ -426,9 +419,10 @@ def albanese_data(M: AffineQuotientManifold) -> AlbaneseData:
 
 
 # A point x is handled as integers n over a denominator d > 0, x = n / d.
-# Each kind reduces such a point in integer arithmetic alone.  A point's key
-# is its reduced (n_1, ..., n_k, d) in lowest terms, so two points lie in
-# one orbit iff their keys are equal.
+# Each kind reduces such a point in integer arithmetic alone, and reports the
+# linear part of the deck element taking the representative back to x.  A
+# point's key is its reduced (n_1, ..., n_k, d) in lowest terms, so two
+# points lie in one orbit iff their keys are equal.
 
 
 def _scaled(x: Sequence, base: int) -> tuple[list[int], int]:
@@ -453,7 +447,8 @@ def _adjugate(A: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
 
 
 def _torus_reduction(M: AffineQuotientManifold) -> Callable:
-    """x -> V (V^-1 x mod 1) for the lattice matrix V = A / a, A integral.
+    """x -> V (V^-1 x mod 1) for the lattice matrix V = A / a, A integral,
+    and the identity linear part.
 
     V^-1 = a adj(A) / det(A), so no point needs an elimination.
     """
@@ -462,40 +457,45 @@ def _torus_reduction(M: AffineQuotientManifold) -> Callable:
     det, adj = _adjugate(A)
     sign = 1 if det > 0 else -1
     W = [[sign * a * c for c in row] for row in adj]  # V^-1 = W / |det|
+    identity = _identity(M.dim)
 
-    def reduce(n: list[int], d: int) -> tuple[list[int], int]:
+    def reduce(n: list[int], d: int) -> tuple[list[int], int, tuple]:
         q = abs(det) * d
         r = [sum(w * c for w, c in zip(row, n)) % q for row in W]
-        return [sum(v * c for v, c in zip(row, r)) for row in A], a * q
+        return [sum(v * c for v, c in zip(row, r)) for row in A], a * q, identity
 
     return reduce
 
 
 def _integer_reduction(M: AffineQuotientManifold) -> tuple[int, Callable]:
-    """(D, f): for a point n / d of M with D dividing d, f(n, d) = (n', d')
-    where n' / d' is its canonical representative and d divides d'."""
+    """(D, f): for a point n / d of M with D dividing d, f(n, d) = (n', d', L)
+    where n' / d' is its canonical representative, d divides d', and L is the
+    linear part of the deck element taking n' / d' to n / d."""
     if M.kind == KIND_EUCLIDEAN:
-        return 1, lambda n, d: (n, d)
+        identity = _identity(M.dim)
+        return 1, lambda n, d: (n, d, identity)
     if M.kind == KIND_TORUS:
         return 1, _torus_reduction(M)
     if M.kind == KIND_KLEIN:
         x0, y0 = M.klein_params
         D = lcm(x0.denominator, y0.denominator)
         X, Y = (c.numerator * (D // c.denominator) for c in (x0, y0))  # the periods over D
+        linear = _identity(2), ((1, 0), (0, -1))  # of b^k a^m, by the parity of k
 
-        def klein(n: list[int], d: int) -> tuple[list[int], int]:
+        def klein(n: list[int], d: int) -> tuple[list[int], int, tuple]:
             s = d // D
             k, x = divmod(n[0], X * s)
             y = -n[1] if k & 1 else n[1]  # an odd number of b's flips y
-            return [x, y % (Y * s)], d
+            return [x, y % (Y * s)], d, linear[k & 1]
 
         return D, klein
     if M.kind == KIND_PRODUCT:
         D, base = _integer_reduction(M.base)
+        lift = cache(_extended)  # the base reports a few linear parts, over and over
 
-        def product(n: list[int], d: int) -> tuple[list[int], int]:
-            nb, e = base(n[:-1], d)
-            return nb + [n[-1] * (e // d)], e
+        def product(n: list[int], d: int) -> tuple[list[int], int, tuple]:
+            nb, e, L = base(n[:-1], d)
+            return nb + [n[-1] * (e // d)], e, lift(L)
 
         return D, product
 
@@ -527,7 +527,7 @@ def point_reducer(M: AffineQuotientManifold) -> Callable[[Sequence], tuple[int, 
         n, d = _scaled(x, D)
         if len(n) != M.dim:
             raise ValueError("point dimension mismatch")
-        n, d = reduce(n, d)
+        n, d, _ = reduce(n, d)
         n.append(d)
         g = gcd(*n)
         return tuple([c // g for c in n])
@@ -551,43 +551,21 @@ def contains_deck(M: AffineQuotientManifold, g: DeckElement) -> bool | None:
 
 
 def deck_membership(M: AffineQuotientManifold) -> Callable[[DeckElement], bool | None]:
-    """``contains_deck`` for M as one predicate, with the torus reduction
-    built once: a translation lies in the lattice iff it reduces to 0."""
-    member = _membership(M)
-    return lambda g: g.dim == M.dim and member(g.linear, g.translation)
+    """``contains_deck`` for M as one predicate, with the reduction built once:
+    the action is free, so (A, t) belongs iff t reduces to 0 with linear part
+    A.  Without a reduction (general kind), only the identity is decided."""
+    D, reduce = _integer_reduction(M)
 
+    def member(g: DeckElement) -> bool | None:
+        if g.dim != M.dim:
+            return False
+        try:
+            n, _, L = reduce(*_scaled(g.translation, D))
+        except UnsupportedManifoldKind:
+            return g.is_identity() or None
+        return not any(n) and g.linear == L
 
-def _membership(M: AffineQuotientManifold) -> Callable[[tuple, tuple], bool | None]:
-    """``contains_deck`` on the linear part and translation of a valid deck
-    element of M's dimension, without building one."""
-    identity = _identity(M.dim)
-    if M.kind == KIND_TORUS:
-        reduce = _torus_reduction(M)
-        return lambda A, t: A == identity and not any(reduce(*_scaled(t, 1))[0])
-    if M.kind == KIND_KLEIN:
-        x0, y0 = M.klein_params
-
-        def klein(A: tuple, t: tuple) -> bool:
-            k, tx = divmod(t[0], x0)
-            sign = 1 - 2 * (k % 2)  # b^k flips y exactly when k is odd
-            return not tx and not t[1] % y0 and A == ((1, 0), (0, sign))
-
-        return klein
-    if M.kind == KIND_PRODUCT:
-        base = _membership(M.base)
-
-        def product(A: tuple, t: tuple) -> bool | None:
-            if t[-1] != 0 or A[-1] != identity[-1] or any(row[-1] for row in A[:-1]):
-                return False
-            return base(tuple(row[:-1] for row in A[:-1]), t[:-1])
-
-        return product
-
-    def other(A: tuple, t: tuple) -> bool | None:
-        is_identity = A == identity and not any(t)
-        return is_identity if M.kind == KIND_EUCLIDEAN or is_identity else None
-
-    return other
+    return member
 
 
 def require_invariant(M: AffineQuotientManifold, form: TropicalForm) -> None:

@@ -220,10 +220,10 @@ def deck_group_oracle(M, window=3):
     on a torus, only the identity on R^n, and the base's elements acting
     trivially on the last coordinate of a product with a line."""
     exponents = range(-window, window + 1)
+    identity = tuple(tuple(int(i == j) for j in range(M.dim)) for i in range(M.dim))
     if M.kind == "euclidean":
-        yield tuple(tuple(int(i == j) for j in range(M.dim)) for i in range(M.dim)), (0,) * M.dim
+        yield identity, (0,) * M.dim
     elif M.kind == "torus":
-        identity = tuple(tuple(int(i == j) for j in range(M.dim)) for i in range(M.dim))
         for ks in product(exponents, repeat=M.dim):
             yield identity, tuple(sum(k * Fraction(g.translation[i]) for k, g in
                                       zip(ks, M.generators)) for i in range(M.dim))

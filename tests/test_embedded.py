@@ -29,9 +29,9 @@ from oracles import (
 )
 
 import troplin as t
-from troplin import embedded, linalg, manifold
+from troplin import embedded, io, linalg, manifold
 from troplin.embedded import _intersecting_edge_pairs, balancing_residual
-from troplin.errors import NotHorizontal, WrongAmbient
+from troplin.errors import InvalidCurve, NotHorizontal, WrongAmbient
 from troplin.manifold import KIND_GENERAL, AffineQuotientManifold, identity_deck, translation_deck
 
 T3_WITNESS = build_t3_witness()  # module level: Hypothesis tests take no function fixtures
@@ -414,6 +414,17 @@ class TestDeformationBasis:
 
         for D in t.deformation_basis(fig1a):
             assert is_deformation(fig1a, D)
+
+    def test_is_deformation_refuses_an_invalid_curve(self):
+        """An edge without embedding data is an invalid curve, not a KeyError."""
+        doc = io.load_json(t.data_path("t2-cycle.json"))
+        del doc["edges+"][0]
+        h = io.parse_parametrized_curve(doc)
+        zero = {v: (0,) * h.manifold.dim for v in h.abstract.vertices}
+        with pytest.raises(InvalidCurve):
+            embedded.is_deformation(h, zero)
+        with pytest.raises(InvalidCurve):
+            t.deformation_basis(h)
 
     def test_subdivision_adds_exactly_one_slide(self):
         """Refining a finite edge with a 2-valent vertex adds the marked

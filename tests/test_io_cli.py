@@ -18,7 +18,7 @@ from conftest import build_fig1a, random_t2_horizontal_curve
 from oracles import zero_cycle_oracle
 
 import troplin as t
-from troplin import cli, io
+from troplin import cli, curve, embedded, io
 from troplin.errors import IrrationalData
 from troplin.manifold import translation_deck
 
@@ -593,6 +593,18 @@ class TestEvValidatesItsCurve:
         assert run_cli("ev", path) == 2
         captured = capsys.readouterr()
         assert captured.err == expected and captured.out == ""
+
+
+class TestHomologyValidatesOnce:
+    def test_one_abstract_validation(self, monkeypatch, capsys):
+        """relative_h1_basis and locally_constant_forms share the verdict the
+        read-only abstract curve keeps."""
+        calls = []
+        validate = curve.validate_abstract
+        for module in (curve, embedded):
+            monkeypatch.setattr(module, "validate_abstract", lambda c: calls.append(c) or validate(c))
+        assert run_cli("homology", _data("t2-cycle.json")) == 0
+        assert len(calls) == 1
 
 
 class TestTiltedRayExits2:

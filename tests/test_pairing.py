@@ -88,7 +88,7 @@ class TestChartConsistency:
     @staticmethod
     def head_chart_value(h, omega, deformations, edge):
         d = h.data(edge.id)
-        A = d.deck.matrix()
+        A = d.deck.linear
         n = h.manifold.dim
         transported = [
             sum(A[i][j] * d.direction[j] for j in range(n)) for i in range(n)
