@@ -73,8 +73,8 @@ class AbstractTropicalCurve:
 def abstract_curve(vertices: Sequence[str], edges: Sequence[tuple]) -> AbstractTropicalCurve:
     """Build a curve from (id, tail, head_or_None, length) tuples."""
     return AbstractTropicalCurve(
-        [str(v) for v in vertices],
-        [Edge(str(i), str(t), None if h is None else str(h), l) for i, t, h, l in edges],
+        tuple(str(v) for v in vertices),
+        tuple(Edge(str(i), str(t), None if h is None else str(h), l) for i, t, h, l in edges),
     )
 
 

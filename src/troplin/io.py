@@ -191,7 +191,7 @@ def parse_abstract_curve(doc: dict) -> AbstractTropicalCurve:
         edges.append(Edge(str(e["id"]), str(e["tail"]), head if head is None else str(head),
                           parse_length(e["length"])))
     vertices = _member(doc, "vertices", what, list)
-    return AbstractTropicalCurve([str(v) for v in vertices], edges)
+    return AbstractTropicalCurve(tuple(str(v) for v in vertices), tuple(edges))
 
 
 def parametrized_curve_json(h: ParametrizedTropicalCurve) -> dict:

@@ -447,11 +447,9 @@ def _adjugate(A: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
 
 
 def _torus_reduction(M: AffineQuotientManifold) -> Callable:
-    """x -> V (V^-1 x mod 1) for the lattice matrix V = A / a, A integral,
-    and the identity linear part.
-
-    V^-1 = a adj(A) / det(A), so no point needs an elimination.
-    """
+    """x -> V (V^-1 x mod 1) for the lattice matrix V = A / a, A integral, with
+    the identity linear part; V^-1 = a adj(A) / det(A), so no point needs an
+    elimination."""
     a = lcm(*(c.denominator for g in M.generators for c in g.translation))
     A = [[as_int(c * a) for c in row] for row in zip(*(g.translation for g in M.generators))]
     det, adj = _adjugate(A)
@@ -545,15 +543,15 @@ def reduce_point(M: AffineQuotientManifold, x: Sequence) -> tuple:
 
 
 def contains_deck(M: AffineQuotientManifold, g: DeckElement) -> bool | None:
-    """Whether g belongs to the deck group; None if undecidable (general kind,
-    other than the identity)."""
+    """Whether g belongs to the deck group; None if undecidable (``deck_membership``)."""
     return deck_membership(M)(g)
 
 
 def deck_membership(M: AffineQuotientManifold) -> Callable[[DeckElement], bool | None]:
     """``contains_deck`` for M as one predicate, with the reduction built once:
     the action is free, so (A, t) belongs iff t reduces to 0 with linear part
-    A.  Without a reduction (general kind), only the identity is decided."""
+    A.  Without a reduction (a general base), a product's element must fix the
+    line, and on the base only the identity is decided."""
     D, reduce = _integer_reduction(M)
 
     def member(g: DeckElement) -> bool | None:
@@ -562,7 +560,11 @@ def deck_membership(M: AffineQuotientManifold) -> Callable[[DeckElement], bool |
         try:
             n, _, L = reduce(*_scaled(g.translation, D))
         except UnsupportedManifoldKind:
-            return g.is_identity() or None
+            if M.kind != KIND_PRODUCT:
+                return g.is_identity() or None
+            A = tuple(row[:-1] for row in g.linear[:-1])  # the base's part, if g fixes the line
+            return (not g.translation[-1] and g.linear == _extended(A)
+                    and deck_membership(M.base)(DeckElement(A, g.translation[:-1])))
         return not any(n) and g.linear == L
 
     return member

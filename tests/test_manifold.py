@@ -526,6 +526,15 @@ class TestPeriodicReductionProperties:
         assert contains_deck(M, t.DeckElement(((1, 0), (0, -1)), (0, 0))) is None
         assert contains_deck(t.product_with_line(M), translation_deck((1, 0, 0))) is None
 
+    def test_product_over_general_refuses_elements_moving_the_line(self):
+        P = t.product_with_line(t.AffineQuotientManifold(2, (), (), "general"))
+        assert contains_deck(P, translation_deck((0, 0, 1))) is False
+        shear = ((1, 0, 1), (0, 1, 0), (0, 0, 1))  # moves the base along the line
+        assert contains_deck(P, t.DeckElement(shear, (0, 0, 0))) is False
+        assert contains_deck(P, t.DeckElement(((1, 0, 0), (0, 1, 0), (1, 0, 1)), (0, 0, 0))) is False
+        assert contains_deck(P, t.DeckElement(((1, 0, 0), (0, -1, 0), (0, 0, 1)), (0, 0, 0))) is None
+        assert contains_deck(P, identity_deck(3)) is True
+
     @given(st.sampled_from([SKEW_TORUS, NEGATIVE_TORUS]),
            st.lists(st.integers(-4, 4), min_size=2, max_size=2),
            st.one_of(st.just((0, 0)), st.tuples(coordinates, coordinates)))
