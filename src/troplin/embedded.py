@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .curve import INF, AbstractTropicalCurve, validate_abstract
-from .errors import InvalidCurve, NotHorizontal, WrongAmbient
+from .errors import DimensionMismatch, InvalidCurve, NotHorizontal, WrongAmbient
 from .linalg import as_fraction, as_int, vector
 from .manifold import (
     KIND_EUCLIDEAN,
@@ -92,8 +92,9 @@ def parametrized_curve(
 ) -> ParametrizedTropicalCurve:
     """Assemble a curve; omitted decks default to the identity."""
     data = {}
+    identity = identity_deck(manifold.dim)
     for eid, params in edges.items():
-        deck = params.get("deck") or identity_deck(manifold.dim)
+        deck = params.get("deck") or identity
         data[eid] = EmbeddedEdgeData(
             tuple(params["direction"]), params.get("weight", 1), params["image_length"], deck
         )
@@ -395,8 +396,12 @@ def _satisfies(h: ParametrizedTropicalCurve, M, assignment: Mapping[str, Sequenc
     n = h.manifold.dim
     flat = []
     for v in h.abstract.vertices:
+        if v not in assignment:
+            raise DimensionMismatch(f"assignment has no vector for vertex {v!r}")
         vec = vector(assignment[v])
-        flat.extend(as_fraction(vec[j]) for j in range(n))
+        if len(vec) != n:
+            raise DimensionMismatch(f"vertex {v!r} is assigned {len(vec)} coordinates, not {n}")
+        flat.extend(vec)
     return all(r == 0 for r in linalg.mat_vec(M, flat))
 
 

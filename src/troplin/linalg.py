@@ -194,6 +194,19 @@ def det(M: Sequence[Sequence]) -> Fraction:
     return scale * (-1) ** inversions * prod(row[c] for c, row in pivots.items())
 
 
+def inverse(M: Sequence[Sequence]) -> Matrix:
+    """Exact inverse, ints where integral: one elimination of [M | I] leaves
+    row c of the inverse, times its pivot, beside pivot c."""
+    n = len(M)
+    if any(len(row) != n for row in M):
+        raise ValueError("inverse of a non-square matrix")
+    pivots = _eliminate([*row, *(int(i == j) for j in range(n))] for i, row in enumerate(M))
+    if any(c >= n for c in pivots):
+        raise ValueError("inverse of a singular matrix")
+    return Matrix(([_exact(Fraction(row.get(n + j, 0), row[c])) for j in range(n)]
+                   for c, row in sorted(pivots.items())), n)
+
+
 def is_unimodular(M: Sequence[Sequence]) -> bool:
     """True iff M is a square integer matrix with determinant +-1."""
     if any(len(row) != len(M) or any(x.denominator != 1 for x in row) for row in M):

@@ -75,9 +75,8 @@ class DeckElement:
         return DeckElement(AB, self.apply(other.translation))
 
     def inverse(self) -> "DeckElement":
-        """x -> A^-1 (x - t), with A^-1 = det(A) adj(A) since det(A) = +-1."""
-        det, adj = _adjugate(self.linear)
-        Ainv = tuple(tuple(det * c for c in row) for row in adj)
+        """x -> A^-1 (x - t)."""
+        Ainv = tuple(map(tuple, linalg.inverse(self.linear)))
         return DeckElement(Ainv, vector(-x for x in linalg.mat_vec(Ainv, self.translation)))
 
     def is_identity(self) -> bool:
@@ -432,35 +431,21 @@ def _scaled(x: Sequence, base: int) -> tuple[list[int], int]:
     return [n * (d // e) for n, e in q], d
 
 
-def _adjugate(A: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
-    """(det A, adj A) of a square integer matrix, with every cofactor read
-    off one table of (n-1) x (n-1) minors, so nothing is eliminated."""
-    n = len(A)
-    minors = _minor_table(A, n - 1)
-
-    def cofactor(i: int, j: int) -> int:
-        rest = tuple(r for r in range(n) if r != i), tuple(c for c in range(n) if c != j)
-        return (-1) ** (i + j) * minors[rest]
-
-    adj = [[cofactor(j, i) for j in range(n)] for i in range(n)]
-    return (sum(A[0][j] * adj[j][0] for j in range(n)) if n else 1), adj
-
-
 def _torus_reduction(M: AffineQuotientManifold) -> Callable:
     """x -> V (V^-1 x mod 1) for the lattice matrix V = A / a, A integral, with
-    the identity linear part; V^-1 = a adj(A) / det(A), so no point needs an
-    elimination."""
+    the identity linear part; V^-1 = W / q, W integral, comes from one
+    elimination here, so each point is reduced in integers alone."""
     a = lcm(*(c.denominator for g in M.generators for c in g.translation))
     A = [[as_int(c * a) for c in row] for row in zip(*(g.translation for g in M.generators))]
-    det, adj = _adjugate(A)
-    sign = 1 if det > 0 else -1
-    W = [[sign * a * c for c in row] for row in adj]  # V^-1 = W / |det|
+    Vinv = [[a * c for c in row] for row in linalg.inverse(A)]
+    q = lcm(*(c.denominator for row in Vinv for c in row))
+    W = [[c.numerator * (q // c.denominator) for c in row] for row in Vinv]
     identity = _identity(M.dim)
 
     def reduce(n: list[int], d: int) -> tuple[list[int], int, tuple]:
-        q = abs(det) * d
-        r = [sum(w * c for w, c in zip(row, n)) % q for row in W]
-        return [sum(v * c for v, c in zip(row, r)) for row in A], a * q, identity
+        qd = q * d
+        r = [sum(w * c for w, c in zip(row, n)) % qd for row in W]
+        return [sum(v * c for v, c in zip(row, r)) for row in A], a * qd, identity
 
     return reduce
 

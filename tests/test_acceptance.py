@@ -27,8 +27,10 @@ from oracles import (
 )
 
 import troplin as t
+from troplin import cli, io
 from troplin.curve import boundary_matrix
 from troplin.embedded import balancing_residual
+from troplin.manifold import contains_deck, translation_deck
 
 AREA = t.TropicalForm(2, 2, (1,))
 
@@ -239,3 +241,25 @@ def test_criterion_9_end_pairing_at_128_breakpoints():
     assert (result.dim_W, result.bound) == (128, 128)
     report(9, "128 breakpoints on T^2: all 8256 wedge pairs 0, end rank 128 = bound",
            started, 1.5)
+
+
+def test_criterion_10_sixteen_dimensional_torus(tmp_path, capsys):
+    n = 16
+    lattice = [[4 * (i == j) for j in range(n)] for i in range(n)]
+    x = tuple(Fraction(k, 3) for k in range(-8, 8))
+    torus16, cycle16 = str(tmp_path / "torus16.json"), str(tmp_path / "cycle16.json")
+    io.dump_json(io.manifold_json(t.make_torus(lattice)), torus16)
+    io.dump_json([{"point": io.vector_json(x), "mult": 1}], cycle16)
+    started = time.perf_counter()
+    T = t.make_torus(lattice)
+    reduced = t.reduce_point(T, x)
+    assert reduced == tuple(c % 4 for c in x)
+    lifts = [tuple(c + 4 * ((i * k) % 5 - 2) for i, c in enumerate(x)) for k in range(6)]
+    assert t.zero_cycle(T, [(p, 1) for p in lifts]).entries == ((reduced, 6),)
+    g = T.deck_from_word("t1^-1 t16^-3")
+    assert g == translation_deck((-4,) + (0,) * (n - 2) + (-12,))
+    assert contains_deck(T, g) is True
+    assert cli.run(["albanese", torus16, cycle16]) == 1
+    assert "klein" in capsys.readouterr().err
+    report(10, "16-dimensional torus: reduction, lifted 0-cycle, inverse deck word, "
+           "albanese refusal", started, 2.0)

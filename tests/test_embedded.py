@@ -31,7 +31,7 @@ from oracles import (
 import troplin as t
 from troplin import embedded, io, linalg, manifold
 from troplin.embedded import _intersecting_edge_pairs, balancing_residual
-from troplin.errors import InvalidCurve, NotHorizontal, WrongAmbient
+from troplin.errors import DimensionMismatch, InvalidCurve, NotHorizontal, WrongAmbient
 from troplin.manifold import KIND_GENERAL, AffineQuotientManifold, identity_deck, translation_deck
 
 T3_WITNESS = build_t3_witness()  # module level: Hypothesis tests take no function fixtures
@@ -425,6 +425,18 @@ class TestDeformationBasis:
             embedded.is_deformation(h, zero)
         with pytest.raises(InvalidCurve):
             t.deformation_basis(h)
+
+    @pytest.mark.parametrize("assignment, named", [
+        ({}, "vertex 'v0'"),
+        ({"v0": (0,), "v1": (0,)}, "'v0' is assigned 1 coordinates, not 3"),
+        ({"v0": (0, 0, 0), "v1": (0, 0, 0, 0)}, "'v1' is assigned 4 coordinates, not 3"),
+    ])
+    def test_is_deformation_checks_the_assignment(self, assignment, named):
+        """A missing vertex or a vector of the wrong length is a usage error
+        that names it, not a KeyError or an IndexError."""
+        h = io.parse_parametrized_curve(io.load_json(t.data_path("t2-cycle.json")))
+        with pytest.raises(DimensionMismatch, match=named):
+            embedded.is_deformation(h, assignment)
 
     def test_subdivision_adds_exactly_one_slide(self):
         """Refining a finite edge with a 2-valent vertex adds the marked

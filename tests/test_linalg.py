@@ -31,6 +31,7 @@ from troplin.linalg import (
     hermite_normal_form,
     in_integer_span,
     integer_kernel_basis,
+    inverse,
     kernel_basis,
     matrix,
     primitive_part,
@@ -231,6 +232,11 @@ def sparse_matrices(draw, max_rows=6, max_cols=6):
     return rows, ncols
 
 
+square_matrices = st.integers(0, 6).flatmap(
+    lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
 class TestEliminationCore:
     @given(sparse_matrices())
     @settings(max_examples=300, deadline=None)
@@ -249,18 +255,29 @@ class TestEliminationCore:
         rows, ncols = case
         assert kernel_basis(Matrix(rows, ncols)) == kernel_from_oracle(rows, ncols)
 
-    @given(st.integers(0, 6).flatmap(
-        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
-    ))
+    @given(square_matrices)
     @settings(max_examples=300, deadline=None)
     def test_det_matches_leibniz(self, rows):
         assert det(rows) == leibniz_det(rows)
 
+    @given(square_matrices)
+    @settings(max_examples=300, deadline=None)
+    def test_inverse_exactly_when_leibniz_det_is_nonzero(self, rows):
+        """inverse(M) M = I, with ints where integral; a singular M is refused."""
+        if leibniz_det(rows) == 0:
+            with pytest.raises(ValueError, match="singular"):
+                inverse(rows)
+            return
+        inv, n = inverse(rows), len(rows)
+        assert matmul(inv, rows) == [[int(i == j) for j in range(n)] for i in range(n)]
+        assert all(type(x) is (int if x.denominator == 1 else Fraction) for row in inv for x in row)
+
     def test_det_of_a_rank_deficient_matrix(self):
         assert det([[1, 2, 3], [2, 4, 6], [0, 1, 5]]) == 0
         assert det([[0, 1], [1, 0]]) == -1
-        with pytest.raises(ValueError):
-            det([[1, 2]])
+        for square_only in (det, inverse):
+            with pytest.raises(ValueError, match="non-square"):
+                square_only([[1, 2]])
 
     @given(sparse_matrices(max_rows=4, max_cols=4), st.data())
     @settings(max_examples=200, deadline=None)

@@ -27,9 +27,9 @@ from troplin.manifold import _signed_gram, contains_deck, identity_deck, transla
 
 @st.composite
 def unimodular_decks(draw):
-    """A deck of dimension 1-3: a signed permutation times elementary row
+    """A deck of dimension 1-16: a signed permutation times elementary row
     operations, with a rational translation."""
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 16))
     perm = draw(st.permutations(range(n)))
     A = [[draw(st.sampled_from([-1, 1])) * int(j == perm[i]) for j in range(n)]
          for i in range(n)]
@@ -108,7 +108,8 @@ class TestApplyDeck:
         assert g.inverse().compose(g).is_identity()
 
     def test_inverse_solves_nothing(self, monkeypatch):
-        """Deck inverses come from the adjugate, so negative powers eliminate nothing."""
+        """Deck inverses come from one elimination of [A | I], so negative
+        powers solve nothing."""
         calls = []
         solve = t.linalg.solve_rational
         monkeypatch.setattr(t.linalg, "solve_rational", lambda *a: calls.append(a) or solve(*a))
@@ -366,7 +367,8 @@ class TestReducePoint:
         assert t.reduce_point(E, (Fraction(9, 7), -3)) == (Fraction(9, 7), -3)
 
     def test_torus_reduction_solves_nothing(self, monkeypatch):
-        """The lattice inverse is an adjugate, so no point is eliminated."""
+        """The lattice inverse is eliminated once per reducer, so no point
+        is solved for."""
         calls = []
         solve = t.linalg.solve_rational
         monkeypatch.setattr(t.linalg, "solve_rational", lambda *a: calls.append(a) or solve(*a))

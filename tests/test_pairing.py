@@ -55,6 +55,18 @@ class TestPhiContract:
         with pytest.raises(NotADeformation):
             t.phi_contract(fig1a, AREA, [bad])
 
+    @pytest.mark.parametrize("assignment, named", [
+        ({}, "vertex 'v0'"),
+        ({"v0": (0,), "v1": (0,)}, "'v0' is assigned 1 coordinates, not 3"),
+    ])
+    def test_checks_the_assignment(self, assignment, named):
+        """A missing vertex or a vector of the wrong length is a usage error
+        that names it, not a KeyError or an IndexError."""
+        h = io.parse_parametrized_curve(io.load_json(t.data_path("t2-cycle.json")))
+        dxdy = t.TropicalForm(3, 2, (1, 0, 0))
+        with pytest.raises(DimensionMismatch, match=named):
+            t.phi_contract(h, dxdy, [assignment])
+
     def test_rejects_non_invariant_form(self, t2_cycle):
         from troplin.errors import FormNotInvariant
 
