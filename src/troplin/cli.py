@@ -22,7 +22,7 @@ from .embedded import (
     validate_parametrized,
 )
 from .errors import InputError, TroplinError
-from .klein import albanese_class, chow_equivalent, witness_fiber_relation, witness_two_torsion
+from .klein import albanese_class, chow_comparison, witness_fiber_relation, witness_two_torsion
 from .manifold import invariant_forms
 from .pairing import isotropy_check, roitman_bound_check
 from .report import FAIL, Report
@@ -212,8 +212,7 @@ def _cmd_chow_equiv(args) -> int:
     manifold = io.parse_manifold(io.load_json(args.manifold))
     z1 = io.parse_cycle(io.load_json(args.z1), manifold)
     z2 = io.parse_cycle(io.load_json(args.z2), manifold)
-    (d1, c1), (d2, c2) = albanese_class(manifold, z1), albanese_class(manifold, z2)
-    equivalent = chow_equivalent(manifold, z1, z2)
+    equivalent, (d1, c1), (d2, c2) = chow_comparison(manifold, z1, z2)
     x0 = manifold.klein_params[0]
     if args.json:
         print(json.dumps({

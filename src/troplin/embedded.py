@@ -127,56 +127,49 @@ def balancing_residual(h: ParametrizedTropicalCurve, v: str) -> tuple:
     return _weighted_sum(h.manifold.dim, outward_germs(h)[v])
 
 
-def _edge_segment(h: ParametrizedTropicalCurve, e) -> tuple[tuple, tuple, object]:
-    """(start, direction, lattice length or INF) of an edge in the tail chart."""
-    d = h.data(e.id)
-    return h.position(e.tail), d.direction, d.image_length
-
-
 def _segment_pair_intersections(p, dp, lp, q, dq, lq):
-    """Exact intersection of two closed segments/rays ``p + s dp``, ``q + t dq``.
+    """Exact intersection of two closed segments/rays ``p + s dp``, ``q + t dq``
+    with integer starts, primitive integer directions and integer lengths
+    (``INF`` for rays).
 
-    Returns a list of intersection points when the set is finite, or the
-    string ``"overlap"`` when the segments share infinitely many points.
-    The directions are non-zero integer vectors; ``s`` and ``t`` come from
-    Cramer's rule on the first non-zero 2x2 minor of ``[dp, -dq]``.
+    Returns ``[point]`` for one common point, ``[]`` for none, or the string
+    ``"overlap"`` when the segments share infinitely many points.  ``s`` and
+    ``t`` come from Cramer's rule on the first non-zero 2x2 minor of
+    ``[dp, -dq]``, kept as numerators over that minor; only a hit forms
+    Fractions.
     """
     n = len(p)
-    r = [q[i] - p[i] for i in range(n)]
+    r = [b - a for a, b in zip(p, q)]
     for i, j in combinations(range(n), 2):
         D = dq[i] * dp[j] - dp[i] * dq[j]
         if D != 0:
-            s = Fraction(dq[i] * r[j] - r[i] * dq[j], D)
-            t = Fraction(dp[i] * r[j] - r[i] * dp[j], D)
-            if any(s * dp[k] - t * dq[k] != r[k] for k in range(n)):
+            s = dq[i] * r[j] - r[i] * dq[j]  # the parameters are s / D and t / D
+            t = dp[i] * r[j] - r[i] * dp[j]
+            if D < 0:
+                D, s, t = -D, -s, -t
+            if any(s * a - t * b != c * D for a, b, c in zip(dp, dq, r)):
                 return []
-            if s < 0 or (lp is not INF and s > lp) or t < 0 or (lq is not INF and t > lq):
+            if s < 0 or t < 0 or s > lp * D or t > lq * D:
                 return []
-            return [vector(p[k] + s * dp[k] for k in range(n))]
-    # Parallel directions: either disjoint lines or a shared line.
+            return [tuple(Fraction(x * D + s * a, D) for x, a in zip(p, dp))]
+    # Parallel primitive directions, so dq = +-dp: disjoint lines, or q's
+    # edge covers a parameter interval of p's line from s0, where q = p + s0 dp.
     i = next(k for k in range(n) if dp[k] != 0)
-    s0 = Fraction(r[i]) / dp[i]  # q = p + s0 dp
-    if any(s0 * dp[k] != r[k] for k in range(n)):
+    if any(c * dp[i] != r[i] * a for a, c in zip(dp, r)):
         return []
-    lam = Fraction(dq[i], dp[i])  # dq = lam dp
-    lo = s0 if lam > 0 else (s0 + lam * lq if lq is not INF else -INF)
-    hi = (s0 + lam * lq if lq is not INF else INF) if lam > 0 else s0
-    lo2 = max(Fraction(0), lo) if lo != -INF else Fraction(0)
-    hi2 = min(lp, hi) if lp is not INF and hi is not INF else (lp if hi is INF else hi)
-    if hi2 is INF:
-        if lo2 is INF:
-            return []
-        return "overlap"
-    if lo2 > hi2:
+    s0 = r[i] // dp[i]  # exact: r is an integer multiple of the primitive dp
+    lo, hi = (s0, s0 + lq) if dq[i] * dp[i] > 0 else (s0 - lq, s0)
+    lo, hi = max(lo, 0), min(hi, lp)
+    if lo > hi:
         return []
-    if lo2 == hi2:
-        return [vector(p[k] + lo2 * dp[k] for k in range(n))]
+    if lo == hi:
+        return [tuple(x + lo * a for x, a in zip(p, dp))]
     return "overlap"
 
 
 def _edge_box(p, d, length) -> list[tuple]:
-    """Exact (low, high) per coordinate of an edge; a ray is unbounded
-    wherever its direction moves and pinned where that component is 0."""
+    """(low, high) per coordinate of an edge; a ray is unbounded wherever
+    its direction moves and pinned where that component is 0."""
     box = []
     for x, c in zip(p, d):
         if length is not INF:
@@ -207,15 +200,37 @@ def _box_overlap_pairs(boxes: Sequence[list[tuple]]) -> list[tuple[int, int]]:
 
 def _intersecting_edge_pairs(h: ParametrizedTropicalCurve) -> list[tuple]:
     """``(e, f, hits)`` for every pair of edges of a euclidean curve that
-    meet, in edge order; ``hits`` is a list of points or ``"overlap"``."""
+    share no vertex and meet, in edge order; ``hits`` is a list of points
+    or ``"overlap"``.
+
+    Positions and lengths are scaled once by the lcm L of their
+    denominators, so boxes and the pair predicate run on integers; a hit
+    is divided back by L.
+    """
     edges = list(h.abstract.edges)
-    segments = [_edge_segment(h, e) for e in edges]
+    lengths = [h.data(e.id).image_length for e in edges]
+    positions = [h.position(v) for v in h.abstract.vertices]
+    L = lcm(*(x.denominator for p in positions for x in p),
+            *(x.denominator for x in lengths if x is not INF))
+    scaled = {
+        v: tuple(x.numerator * (L // x.denominator) for x in p)
+        for v, p in zip(h.abstract.vertices, positions)
+    }
+    segments = [
+        (scaled[e.tail], h.data(e.id).direction,
+         x if x is INF else x.numerator * (L // x.denominator))
+        for e, x in zip(edges, lengths)
+    ]
+    ends = [{e.tail, e.head} - {None} for e in edges]
     boxes = [_edge_box(*seg) for seg in segments]
     found = []
     for i, j in _box_overlap_pairs(boxes):
-        hits = _segment_pair_intersections(*segments[i], *segments[j])
-        if hits:
-            found.append((edges[i], edges[j], hits))
+        if ends[i].isdisjoint(ends[j]):
+            hits = _segment_pair_intersections(*segments[i], *segments[j])
+            if hits == "overlap":
+                found.append((edges[i], edges[j], hits))
+            elif hits:
+                found.append((edges[i], edges[j], [vector(Fraction(x, L) for x in hits[0])]))
     return found
 
 
@@ -223,9 +238,16 @@ def validate_parametrized(h: ParametrizedTropicalCurve) -> Report:
     """Run every structural and geometric invariant, collecting violations.
 
     For euclidean ambients an exact global embeddedness check runs as
-    well: a sort-and-sweep over exact per-edge bounding boxes keeps only
-    the edge pairs whose boxes meet, and each is tested for intersection
-    by an exact Cramer's-rule predicate.  For quotients, embeddedness
+    well, in integers: positions and lengths are scaled once by the lcm
+    of their denominators, a sort-and-sweep over per-edge bounding boxes
+    keeps only the edge pairs whose boxes meet, and each pair that shares
+    no vertex is tested by Cramer's rule.  Pairs that share a vertex need
+    no test once every earlier check has passed: position consistency
+    puts the vertex at an end of both edges, local injectivity makes
+    their germs there distinct, and two segments or rays leaving one
+    point in distinct primitive directions meet only at that point (a
+    second shared vertex would force equal germs; a euclidean self-loop
+    fails position consistency).  For quotients, embeddedness
     beyond local injectivity is reported as skipped, and so is deck-group
     membership when it cannot be decided (general manifolds).
     """
@@ -324,14 +346,9 @@ def validate_parametrized(h: ParametrizedTropicalCurve) -> Report:
         for e, f, hits in _intersecting_edge_pairs(h):
             if hits == "overlap":
                 overlaps.append(f"{e.id} and {f.id} overlap along a segment")
-                continue
-            shared = {v for v in (e.tail, e.head) if v is not None} & {
-                v for v in (f.tail, f.head) if v is not None
-            }
-            allowed = {h.position(v) for v in shared}
-            for pt in hits:
-                if pt not in allowed:
-                    overlaps.append(f"{e.id} and {f.id} meet at {pt} away from a shared vertex")
+            else:
+                overlaps += (f"{e.id} and {f.id} meet at {pt} away from a shared vertex"
+                             for pt in hits)
         report.add("global embeddedness (euclidean)", not overlaps, "; ".join(overlaps))
     return report
 

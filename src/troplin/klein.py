@@ -364,9 +364,18 @@ def albanese_class(K: AffineQuotientManifold, z: ZeroCycle) -> tuple[int, Fracti
     return z.degree, Fraction(total % (x0.numerator * (L // x0.denominator)), L)
 
 
+def chow_comparison(
+    K: AffineQuotientManifold, z1: ZeroCycle, z2: ZeroCycle
+) -> tuple[bool, tuple[int, Fraction], tuple[int, Fraction]]:
+    """The complete decision with the (degree, Albanese class) of each
+    cycle it compares, each summed once."""
+    a1, a2 = albanese_class(K, z1), albanese_class(K, z2)
+    return a1 == a2, a1, a2
+
+
 def chow_equivalent(K: AffineQuotientManifold, z1: ZeroCycle, z2: ZeroCycle) -> bool:
     """Complete decision: equal degree and equal Albanese class."""
-    return albanese_class(K, z1) == albanese_class(K, z2)
+    return chow_comparison(K, z1, z2)[0]
 
 
 # ---------------------------------------------------------------------------

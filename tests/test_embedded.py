@@ -2,10 +2,11 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -298,7 +299,10 @@ class TestValidateParametrized:
     @settings(max_examples=300, deadline=None)
     def test_sweep_agrees_with_all_pairs_oracle(self, h):
         pairs, detail = embeddedness_oracle(h)
-        assert [(e.id, f.id, hits) for e, f, hits in _intersecting_edge_pairs(h)] == pairs
+        ends = {e.id: {e.tail, e.head} - {None} for e in h.abstract.edges}
+        assert [(e.id, f.id, hits) for e, f, hits in _intersecting_edge_pairs(h)] == [
+            (e, f, hits) for e, f, hits in pairs if ends[e].isdisjoint(ends[f])
+        ]
         report = t.validate_parametrized(h)
         check = next(
             (c for c in report.checks if c.name == "global embeddedness (euclidean)"), None
@@ -311,6 +315,81 @@ class TestValidateParametrized:
             assert report.checks[-1] == t.Check(
                 "global embeddedness", "skipped", "not checked because an earlier check failed"
             )
+
+    @given(balanced_euclidean_curves())
+    @settings(max_examples=300, deadline=None)
+    def test_edges_sharing_a_vertex_meet_only_there(self, h):
+        """Why the sweep may skip pairs that share a vertex: once every check
+        before embeddedness passes, such a pair meets exactly at the
+        positions of its shared vertices."""
+        report = t.validate_parametrized(h)
+        assume(report.checks[-1].name == "global embeddedness (euclidean)")
+        hits = {(e, f): points for e, f, points in embeddedness_oracle(h)[0]}
+        for e, f in combinations(h.abstract.edges, 2):
+            shared = {e.tail, e.head} & {f.tail, f.head} - {None}
+            if shared:
+                assert hits[e.id, f.id] != "overlap"
+                assert set(hits[e.id, f.id]) == {h.position(v) for v in shared}
+
+    def test_opposite_rays_from_one_vertex_pass(self, euclid2):
+        h = t.parametrized_curve(
+            euclid2,
+            t.abstract_curve("v", [("a", "v", None, t.INF), ("b", "v", None, t.INF)]),
+            {"v": (0, 0)},
+            {"a": dict(direction=(1, 0), image_length=t.INF),
+             "b": dict(direction=(-1, 0), image_length=t.INF)},
+        )
+        report = t.validate_parametrized(h)
+        assert report.passed
+        assert report.checks[-1] == t.Check("global embeddedness (euclidean)", "pass", "")
+        assert embeddedness_oracle(h)[0] == [("a", "b", [(0, 0)])]
+        assert _intersecting_edge_pairs(h) == []
+
+    def test_vertex_inside_an_adjacent_edge_fails_local_injectivity(self, euclid2):
+        # w sits inside the edge uv, and the edge uw leaves u along the same ray
+        h = t.parametrized_curve(
+            euclid2,
+            t.abstract_curve(
+                ["u", "w", "x"],
+                [("ux", "u", "x", 2), ("uw", "u", "w", 1), ("ru", "u", None, t.INF),
+                 ("rw", "w", None, t.INF), ("rx", "x", None, t.INF)],
+            ),
+            {"u": (0, 0), "w": (1, 0), "x": (2, 0)},
+            {"ux": dict(direction=(1, 0), image_length=2),
+             "uw": dict(direction=(1, 0), image_length=1),
+             "ru": dict(direction=(-1, 0), weight=2, image_length=t.INF),
+             "rw": dict(direction=(1, 0), image_length=t.INF),
+             "rx": dict(direction=(1, 0), image_length=t.INF)},
+        )
+        report = t.validate_parametrized(h)
+        assert [c.name for c in report.failures()] == ["local injectivity"]
+        assert report.checks[-1] == t.Check(
+            "global embeddedness", "skipped", "not checked because an earlier check failed"
+        )
+
+    def test_crossing_at_another_vertex_position_is_reported(self, euclid2):
+        # ur and wd share no vertex and cross at (1, 0), where vertex c sits
+        h = t.parametrized_curve(
+            euclid2,
+            t.abstract_curve(
+                ["u", "w", "c"],
+                [("ul", "u", None, t.INF), ("ur", "u", None, t.INF),
+                 ("wd", "w", None, t.INF), ("wu", "w", None, t.INF),
+                 ("cp", "c", None, t.INF), ("cm", "c", None, t.INF)],
+            ),
+            {"u": (0, 0), "w": (1, 1), "c": (1, 0)},
+            {"ul": dict(direction=(-1, 0), image_length=t.INF),
+             "ur": dict(direction=(1, 0), image_length=t.INF),
+             "wd": dict(direction=(0, -1), image_length=t.INF),
+             "wu": dict(direction=(0, 1), image_length=t.INF),
+             "cp": dict(direction=(1, 1), image_length=t.INF),
+             "cm": dict(direction=(-1, -1), image_length=t.INF)},
+        )
+        report = t.validate_parametrized(h)
+        (check,) = report.failures()
+        assert check.name == "global embeddedness (euclidean)"
+        assert check.detail.startswith("ur and wd meet at (1, 0) away from a shared vertex")
+        assert check.detail == embeddedness_oracle(h)[1]
 
     def test_unbalanced_euclidean_curve_skips_embeddedness(self, euclid2):
         h = t.parametrized_curve(

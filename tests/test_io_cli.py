@@ -18,7 +18,7 @@ from conftest import build_fig1a, random_t2_horizontal_curve
 from oracles import zero_cycle_oracle
 
 import troplin as t
-from troplin import cli, curve, embedded, io
+from troplin import cli, curve, embedded, io, klein
 from troplin.errors import IrrationalData
 from troplin.manifold import translation_deck
 
@@ -255,6 +255,21 @@ class TestCLI:
         ) == 0
         out = capsys.readouterr().out
         assert "equivalent" in out
+
+    def test_chow_equiv_sums_each_cycle_once(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(K, z, original=klein.albanese_class):
+            calls.append(z)
+            return original(K, z)
+
+        monkeypatch.setattr(klein, "albanese_class", counted)
+        monkeypatch.setattr(cli, "albanese_class", counted)
+        assert run_cli(
+            "chow-equiv", str(t.data_path("klein.json")),
+            str(t.data_path("zp.json")), str(t.data_path("ziotap.json")),
+        ) == 0
+        assert len(calls) == 2
 
     def test_chow_equiv_negative(self, tmp_path, capsys):
         zshift = tmp_path / "zshift.json"
