@@ -10,6 +10,7 @@ times an untouched R coordinate) and ``general`` (trusted input).
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -232,37 +233,30 @@ def p_subsets(n: int, p: int) -> list[tuple[int, ...]]:
     return list(combinations(range(n), p))
 
 
-def _batched_minors(columns: Sequence[Sequence[Sequence[int]]], nrows: int, p: int,
-                    size: int) -> dict:
-    """Every p x p minor of ``size`` matrices of one shape, keyed by (row
-    subset, column subset); ``columns[j][a]`` holds entry (a, j) of every
-    matrix, and each minor is a list with one value per matrix.
+def _minors(columns: Sequence[Sequence[int]], p: int) -> dict:
+    """The non-zero p x p minors of the matrix with the given columns, keyed
+    by (row subset, column subset).
 
     Built level by level for q = 1..p: Laplace expansion along the last
-    column writes a q x q minor as a signed sum of q products of an entry
-    with a (q-1) x (q-1) minor, and only the previous level is kept.
+    column writes the minor on rows T and columns S as the sum, over the
+    rows a of T, of entry (a, S[-1]) times the minor on T - {a} and S[:-1],
+    times -1 per row of T after a.  So each non-zero minor is
+    extended by the non-zero entries of every later column, and only the
+    non-zero minors of the previous level are kept.
     """
-    level = {((), ()): [1] * size}
-    for q in range(1, p + 1):
+    support = [[(a, x) for a, x in enumerate(column) if x] for column in columns]
+    level = {((), ()): 1}
+    for _ in range(p):
         nxt = {}
-        for T in combinations(range(nrows), q):
-            for S in combinations(range(len(columns)), q):
-                minor = [0] * size
-                for i, t in enumerate(T):
-                    entries = columns[S[-1]][t]
-                    if any(entries):
-                        sign = -1 if (q - 1 - i) % 2 else 1
-                        rest = level[T[:i] + T[i + 1 :], S[:-1]]
-                        minor = [m + sign * x * y for m, x, y in zip(minor, entries, rest)]
-                nxt[T, S] = minor
-        level = nxt
+        for (T, S), m in level.items():
+            for j in range(S[-1] + 1 if S else 0, len(columns)):
+                for a, x in support[j]:
+                    if a not in T:
+                        k = bisect(T, a)
+                        key = T[:k] + (a,) + T[k:], S + (j,)
+                        nxt[key] = nxt.get(key, 0) + (-x if (len(T) - k) % 2 else x) * m
+        level = {key: m for key, m in nxt.items() if m}
     return level
-
-
-def _minor_table(rows: Sequence[Sequence], p: int) -> dict:
-    """Every p x p minor of a matrix, keyed by (row subset, column subset)."""
-    columns = [[(x,) for x in column] for column in zip(*rows)]
-    return {key: m for key, (m,) in _batched_minors(columns, len(rows), p, 1).items()}
 
 
 def _signed_gram(terms: Sequence[tuple], degree: int, count: int) -> list:
@@ -272,62 +266,29 @@ def _signed_gram(terms: Sequence[tuple], degree: int, count: int) -> list:
 
     Vector index j is scaled to integers once, by the lcm s_j of its
     denominators across all terms, so the value on a subset S is an integer
-    over the product of s_j for j in S, divided only when emitted.  Terms
-    with one form share one Laplace recursion (``_batched_minors``), batched
-    over lists with one entry per term, up to degree - 1; the last level,
-    contracted with c * form, is one dot product per subset.
+    over the product of s_j for j in S, divided only when emitted.  Each
+    term runs ``_minors`` on its non-zero vectors alone, since a subset
+    holding a zero vector adds nothing, and its top level, contracted with
+    c * form, adds to the subsets it reaches.
     """
     for _, form, vecs in terms:
         if len(vecs) != count or any(len(v) != form.dim for v in vecs):
             raise ValueError("vector dimension mismatch")
-    if degree == 0:
-        return [sum(c * form.coefficients[0] for c, form, _ in terms)]
-    subsets = p_subsets(count, degree)
-    if not subsets:
-        return []
     scales = [lcm(*(x.denominator for _, _, vecs in terms for x in vecs[j])) for j in range(count)]
-    groups: dict = {}
+    coefficients = {}  # per form: coefficient by row subset
+    total = dict.fromkeys(p_subsets(count, degree), 0)
     for c, form, vecs in terms:
-        if c:
-            groups.setdefault(form, []).append((c, vecs))
-    total = [0] * len(subsets)
-    for form, group in groups.items():
-        n = form.dim
-        columns = []  # columns[j][a]: coordinate a of vector j times s_j, one entry per term
-        for j, s in enumerate(scales):
-            rows = [[x.numerator * (s // x.denominator) for x in vecs[j]] for _, vecs in group]
-            columns.append([[row[a] for row in rows] for a in range(n)])
-        minors = _batched_minors(columns, n, degree - 1, len(group))
-        heads = p_subsets(n, degree - 1)
-        coefficients = dict(zip(p_subsets(n, degree), form.coefficients))
-        # The last Laplace level: row a joins the minor on rows R, signed by
-        # its place in T = R + (a,).
-        fold = []
-        for R in heads:
-            entries = []
-            for a in range(n):
-                if a not in R:
-                    T = tuple(sorted(R + (a,)))
-                    w = coefficients[T] * (-1) ** (degree - 1 - T.index(a))
-                    if w:
-                        entries.append((a, w))
-            fold.append(entries)
-        cs = [c for c, _ in group]
-        last = []  # per vector s: c * form contracted with s, over every R and term
-        for column in columns:
-            row = []
-            for entries in fold:
-                acc = [0] * len(cs)
-                for a, w in entries:
-                    acc = [y + w * x for y, x in zip(acc, column[a])]
-                row += map(mul, cs, acc)
-            last.append(row)
-        rest = {S: [m for R in heads for m in minors[R, S]] for S in p_subsets(count, degree - 1)}
-        total = [v + sum(map(mul, last[S[-1]], rest[S[:-1]])) for v, S in zip(total, subsets)]
+        if form not in coefficients:
+            coefficients[form] = dict(zip(p_subsets(form.dim, degree), form.coefficients))
+        w = coefficients[form]
+        support = [j for j, v in enumerate(vecs) if any(v)]
+        columns = [[x.numerator * (scales[j] // x.denominator) for x in vecs[j]] for j in support]
+        for (T, S), m in _minors(columns, degree).items():
+            total[tuple(support[k] for k in S)] += c * w[T] * m
     if all(s == 1 for s in scales):
-        return total
+        return list(total.values())
     values = []
-    for v, S in zip(total, subsets):
+    for S, v in total.items():
         d = prod(scales[j] for j in S)
         q, r = divmod(v, d)
         values.append(Fraction(v, d) if r else q)
@@ -378,11 +339,17 @@ def invariant_forms(M: AffineQuotientManifold, p: int) -> list[TropicalForm]:
     if not 0 <= p <= M.dim:
         raise ValueError("degree out of range")
     subsets = p_subsets(M.dim, p)
+    index = {T: i for i, T in enumerate(subsets)}
     rows = []
-    for g in M.generators:
-        minors = _minor_table(g.linear, p)
-        rows += [[minors[T, S] - (T == S) for T in subsets] for S in subsets]
-    basis = linalg.integer_kernel_basis(matrix(rows)) if rows else linalg.identity(len(subsets))
+    # A translation fixes every form, and a repeated linear part adds nothing.
+    for A in dict.fromkeys(g.linear for g in M.generators if g.linear != _identity(M.dim)):
+        block = [[0] * len(subsets) for _ in subsets]  # row S: the compound's column S, minus e_S
+        for i, row in enumerate(block):
+            row[i] = -1
+        for (T, S), m in _minors(list(zip(*A)), p).items():
+            block[index[S]][index[T]] += m
+        rows += block
+    basis = linalg.integer_kernel_basis(linalg.Matrix(rows, len(subsets)))
     return [TropicalForm(M.dim, p, tuple(b)) for b in basis]
 
 

@@ -8,6 +8,7 @@ tolerances are the stated wall-clock budgets.
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -263,3 +264,19 @@ def test_criterion_10_sixteen_dimensional_torus(tmp_path, capsys):
     assert "klein" in capsys.readouterr().err
     report(10, "16-dimensional torus: reduction, lifted 0-cycle, inverse deck word, "
            "albanese refusal", started, 2.0)
+
+
+def test_criterion_11_invariant_forms_in_dimension_12():
+    n, p = 12, 6
+    subsets = list(combinations(range(n), p))
+    flip = tuple(tuple((-1 if i == 0 else 1) * (i == j) for j in range(n)) for i in range(n))
+    started = time.perf_counter()
+    torus = t.invariant_forms(t.make_torus([[4 * (i == j) for j in range(n)] for i in range(n)]), p)
+    flipped = t.invariant_forms(
+        t.AffineQuotientManifold(n, (t.DeckElement(flip, (0,) * n),), ("g",), "general"), p
+    )
+    assert [f.coefficients for f in torus] == [tuple(int(S == T) for S in subsets) for T in subsets]
+    assert len(flipped) == 462  # C(11, 6): the subsets missing the flipped coordinate
+    assert all(not c for f in flipped for T, c in zip(subsets, f.coefficients) if 0 in T)
+    report(11, "invariant 6-forms in dimension 12: all 924 on R^12/4Z^12, 462 under one "
+           "coordinate flip", started, 3.0)

@@ -15,6 +15,7 @@ from oracles import (
     form_value_oracle,
     gram_oracle,
     klein_orbit_points,
+    leibniz_det,
     pullback_oracle,
     solve_oracle,
 )
@@ -22,7 +23,8 @@ from oracles import (
 import troplin as t
 from troplin.errors import DegenerateLattice, NonPositiveParameter, UnsupportedManifoldKind
 from troplin import manifold
-from troplin.manifold import _signed_gram, contains_deck, identity_deck, translation_deck
+from troplin.manifold import (_minors, _signed_gram, contains_deck, identity_deck,
+                              translation_deck)
 
 
 @st.composite
@@ -172,14 +174,22 @@ exact_entries = st.one_of(
 )
 
 
+def sometimes_zero(dim, entries):
+    """Vectors of length dim over ``entries``, the zero vector one draw in four."""
+    return st.integers(0, 3).flatmap(
+        lambda k: st.lists(entries, min_size=dim, max_size=dim) if k else st.just([0] * dim)
+    )
+
+
 @st.composite
 def forms_and_vectors(draw):
-    """A p-form on Z^n (n <= 5, p <= 4) and up to five int/Fraction vectors."""
+    """A p-form on Z^n (n <= 5, p <= 4) and up to five int/Fraction vectors,
+    some of them zero."""
     dim = draw(st.integers(0, 5))
     degree = draw(st.integers(0, min(4, dim)))
     size = comb(dim, degree)
     coeffs = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
-    vectors = draw(st.lists(st.lists(exact_entries, min_size=dim, max_size=dim), max_size=5))
+    vectors = draw(st.lists(sometimes_zero(dim, exact_entries), max_size=5))
     return t.TropicalForm(dim, degree, tuple(coeffs)), vectors
 
 
@@ -198,6 +208,19 @@ def unimodular_matrices(draw, n):
         elif move == "swap":
             A[i], A[j] = A[j], A[i]
     return A
+
+
+@st.composite
+def signed_permutations(draw, n):
+    """Monomial unimodular matrices: a permutation with signs."""
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+    return [[signs[i] * int(j == perm[i]) for j in range(n)] for i in range(n)]
+
+
+def general_manifold(n, gens):
+    return t.AffineQuotientManifold(n, tuple(gens), tuple(f"g{i}" for i in range(len(gens))),
+                                    "general")
 
 
 class TestFormsAgainstTupleOracle:
@@ -224,18 +247,41 @@ class TestFormsAgainstTupleOracle:
         assert list(form.pullback(A).coefficients) == expected
 
     @given(st.integers(0, 5).flatmap(lambda n: st.tuples(
-        st.just(n), st.integers(0, min(4, n)), st.lists(unimodular_matrices(n), max_size=3)
+        st.just(n), st.integers(0, min(4, n)),
+        st.lists(st.one_of(unimodular_matrices(n), signed_permutations(n)), max_size=3),
     )))
     @settings(max_examples=200, deadline=None)
     def test_invariant_forms(self, case):
         n, p, linear_parts = case
-        gens = tuple(t.DeckElement(tuple(map(tuple, A)), (0,) * n) for A in linear_parts)
-        M = t.AffineQuotientManifold(n, gens, tuple(f"g{i}" for i in range(len(gens))), "general")
-        basis = t.invariant_forms(M, p)
+        gens = [t.DeckElement(tuple(map(tuple, A)), (0,) * n) for A in linear_parts]
+        basis = t.invariant_forms(general_manifold(n, gens), p)
         assert len(basis) == fixed_form_rank_oracle(n, p, linear_parts)
         for form in basis:
             for A in linear_parts:
                 assert pullback_oracle(n, p, form.coefficients, A) == list(form.coefficients)
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(0, n),
+        st.lists(st.one_of(unimodular_matrices(n), signed_permutations(n)), min_size=1,
+                 max_size=3),
+    )), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_translations_and_repeats_change_nothing(self, case, data):
+        """Translations, and repeats of a generator after its first
+        occurrence, leave the basis of invariant forms as it was."""
+        n, p, linear_parts = case
+        gens = [t.DeckElement(tuple(map(tuple, A)), (0,) * n) for A in linear_parts]
+        more = list(gens)
+        for _ in range(data.draw(st.integers(1, 4))):
+            if data.draw(st.booleans()):
+                g = translation_deck(data.draw(st.lists(st.integers(-3, 3), min_size=n,
+                                                        max_size=n)))
+                more.insert(data.draw(st.integers(0, len(more))), g)
+            else:
+                g = data.draw(st.sampled_from(gens))
+                more.insert(data.draw(st.integers(more.index(g) + 1, len(more))), g)
+        expected = [f.coefficients for f in t.invariant_forms(general_manifold(n, gens), p)]
+        assert [f.coefficients for f in t.invariant_forms(general_manifold(n, more), p)] == expected
 
     def test_wrong_vector_length(self):
         with pytest.raises(ValueError):
@@ -246,8 +292,8 @@ class TestFormsAgainstTupleOracle:
 def gram_terms(draw):
     """(degree, count, terms) for ``_signed_gram``: degree 2-3, forms on
     dimensions 2-4 drawn from a pool of up to three, so terms share forms or
-    differ, 0-7 vectors per term, and each vector index with a denominator
-    of its own (plain ints where it is 1)."""
+    differ, 0-7 vectors per term, some of them zero, and each vector index
+    with a denominator of its own (plain ints where it is 1)."""
     degree = draw(st.integers(2, 3))
     pool = []
     for _ in range(draw(st.integers(1, 3))):
@@ -264,8 +310,7 @@ def gram_terms(draw):
         c = draw(st.integers(-3, 3))
         vectors = [
             tuple(Fraction(n, d) if d > 1 else n
-                  for n in draw(st.lists(st.integers(-6, 6), min_size=form.dim,
-                                         max_size=form.dim)))
+                  for n in draw(sometimes_zero(form.dim, st.integers(-6, 6))))
             for d in denominators
         ]
         terms.append((c, form, vectors))
@@ -288,6 +333,55 @@ class TestSignedGram:
         values = _signed_gram(terms, degree, count)
         assert values == expected
         assert exact_and_normalized(values)
+
+
+class CountedEntry:
+    """A matrix entry that records each product it is taken into."""
+
+    def __init__(self, value, products):
+        self.value, self.products = value, products
+
+    def __bool__(self):
+        return bool(self.value)
+
+    def __neg__(self):
+        return CountedEntry(-self.value, self.products)
+
+    def __mul__(self, other):
+        self.products.append(other)
+        return self.value * other
+
+    __rmul__ = __mul__
+
+
+class TestMinors:
+    @given(st.integers(1, 5).flatmap(lambda nrows: st.tuples(st.just(nrows), st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3]), min_size=nrows, max_size=nrows),
+        max_size=6,
+    ))), st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_nonzero_minors_one_product_per_extension(self, case, p):
+        """``_minors`` returns exactly the non-zero Leibniz p-minors, and
+        takes one product per extension of a non-zero minor on rows T and
+        columns S by a non-zero entry of a later column in a row outside T."""
+        nrows, columns = case
+        nonzero = {}
+        for q in range(p + 1):
+            for T in combinations(range(nrows), q):
+                for S in combinations(range(len(columns)), q):
+                    m = leibniz_det([[columns[j][a] for j in S] for a in T])
+                    if m:
+                        nonzero[T, S] = m
+        products = []
+        counted = [[CountedEntry(x, products) for x in column] for column in columns]
+        assert _minors(counted, p) == {key: m for key, m in nonzero.items() if len(key[0]) == p}
+        extensions = [
+            (T, S, a, j)
+            for T, S in nonzero if len(T) < p
+            for j in range(len(columns)) if not S or j > S[-1]
+            for a in range(nrows) if a not in T and columns[j][a]
+        ]
+        assert len(products) == len(extensions)
 
 
 class TestKindInvariants:
