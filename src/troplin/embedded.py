@@ -364,29 +364,27 @@ def require_valid_parametrized(h: ParametrizedTropicalCurve) -> None:
 
 
 def deformation_constraints(h: ParametrizedTropicalCurve):
-    """Linear conditions cutting out the deformation space.
-
-    Unknowns are one tangent vector per vertex.  Each finite edge with
-    deck linear part A and direction d contributes: A u_tail - u_head must
-    be parallel to A d, encoded by a saturated basis of the annihilator of
-    A d.  Semi-infinite edges impose nothing.
+    """Linear conditions cutting out the deformation space, as a ``Matrix``
+    of sparse ``{column: value}`` dict rows; vertex i's tangent vector is
+    unknown in columns i*n .. i*n + n - 1.  Each finite edge with deck linear
+    part A and direction d contributes rows in its tail's and head's columns
+    only: A u_tail - u_head must be parallel to A d, encoded by a saturated
+    basis of the annihilator of A d.  Semi-infinite edges impose nothing.
     """
     n = h.manifold.dim
     offsets = {v: i * n for i, v in enumerate(h.abstract.vertices)}
-    ncols = n * len(h.abstract.vertices)
     rows = []
     annihilator = cache(linalg.annihilator_basis)  # once per distinct direction, in this call
     for e in h.abstract.finite_edges():
         d = h.data(e.id)
         A = d.deck.linear
+        tail, head = offsets[e.tail], offsets[e.head]
         for phi in annihilator(linalg.mat_vec(A, d.direction)):
-            row = [0] * ncols
-            row_tail = [sum(phi[i] * A[i][j] for i in range(n)) for j in range(n)]
+            row = {tail + j: sum(phi[i] * A[i][j] for i in range(n)) for j in range(n)}
             for j in range(n):
-                row[offsets[e.tail] + j] += row_tail[j]
-                row[offsets[e.head] + j] -= phi[j]
+                row[head + j] = row.get(head + j, 0) - phi[j]
             rows.append(row)
-    return linalg.Matrix(rows, ncols)
+    return linalg.Matrix(rows, n * len(h.abstract.vertices))
 
 
 def deformation_basis(h: ParametrizedTropicalCurve) -> list[dict[str, tuple]]:
@@ -419,7 +417,7 @@ def _satisfies(h: ParametrizedTropicalCurve, M, assignment: Mapping[str, Sequenc
         if len(vec) != n:
             raise DimensionMismatch(f"vertex {v!r} is assigned {len(vec)} coordinates, not {n}")
         flat.extend(vec)
-    return all(r == 0 for r in linalg.mat_vec(M, flat))
+    return not any(sum(x * flat[j] for j, x in row.items()) for row in M)
 
 
 # ---------------------------------------------------------------------------

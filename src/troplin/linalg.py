@@ -5,8 +5,9 @@ holonomy fixed spaces) must produce exact zeros, so no floating point is
 used anywhere.  A :class:`Matrix` is a list of rows of Python ints and
 Fractions; vectors at the API boundary are plain tuples.  One sparse,
 integer-preserving elimination (gcd-normalised rows, after Bareiss, Math.
-Comp. 1968) drives rref, rank, rational kernels, solving and det; integer
-kernels come from the Hermite normal form, which keeps them saturated.
+Comp. 1968) drives rref, rank, rational kernels, solving and det.  The
+Hermite normal form, behind the saturated integer kernels, runs on the same
+sparse rows, of [M | I] (the augmented form of Kannan and Bachem, 1979).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
-from .errors import IrrationalData, ZeroVector
+from .errors import DimensionMismatch, IrrationalData, ZeroVector
 
 _CANONICAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
@@ -104,10 +105,6 @@ def zeros(nrows: int, ncols: int) -> Matrix:
     return Matrix(([0] * ncols for _ in range(nrows)), ncols)
 
 
-def identity(n: int) -> Matrix:
-    return Matrix(([1 if i == j else 0 for j in range(n)] for i in range(n)), n)
-
-
 def mat_vec(M: Sequence[Sequence], v: Sequence) -> tuple:
     """Exact matrix-vector product as a tuple."""
     return tuple(sum(a * x for a, x in zip(row, v) if a) for row in M)
@@ -117,9 +114,11 @@ def mat_vec(M: Sequence[Sequence], v: Sequence) -> tuple:
 # The elimination core
 
 
-def _integer_row(entries: Iterable) -> tuple[dict[int, int], int]:
-    """The nonzero entries of a row times the lcm of their denominators."""
-    row = {j: x for j, x in enumerate(entries) if x}
+def _integer_row(entries) -> tuple[dict[int, int], int]:
+    """The nonzero entries of a row, dense or a ``{column: value}`` dict,
+    times the lcm of their denominators."""
+    items = entries.items() if isinstance(entries, dict) else enumerate(entries)
+    row = {j: x for j, x in items if x}
     scale = lcm(*(x.denominator for x in row.values()))
     return {j: x.numerator * (scale // x.denominator) for j, x in row.items()}, scale
 
@@ -228,11 +227,46 @@ def rref(M: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def rank(M: Sequence[Sequence]) -> int:
+    if not isinstance(M, Matrix):
+        M = matrix(M)
     return len(_echelon(M)[0])
 
 
-def _subtract(x: list, q: int, y: list) -> list:
-    return [a - q * b for a, b in zip(x, y)]
+def _integer_rows(M: Iterable) -> list[dict[int, int]]:
+    """The sparse rows of an integer matrix; any other entry is refused."""
+    rows = [_integer_row(entries) for entries in M]
+    if any(scale != 1 for _, scale in rows):
+        raise IrrationalData("not an integer matrix")
+    return [row for row, _ in rows]
+
+
+def _hermite(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
+    """Row-style Hermite normal form of sparse integer rows M, ncols wide, as
+    the rows of [H | U]: row i is extended in place by 1 in column ncols + i,
+    so U is unimodular, H = U M, and every row stays primitive (``_combine``
+    never divides).  Euclid on each column below the current row leaves one
+    entry, which is swapped up, made positive and reduces the entries above it
+    into [0, pivot).  Zero rows of H are collected at the bottom."""
+    for i, row in enumerate(rows):
+        row[ncols + i] = 1
+    r = 0
+    for c in range(ncols):
+        while True:
+            live = sorted((i for i in range(r, len(rows)) if c in rows[i]),
+                          key=lambda i: abs(rows[i][c]))
+            if len(live) < 2:
+                break
+            i, j = live[:2]
+            _combine(rows[j], 1, rows[i], rows[j][c] // rows[i][c])
+        if live:
+            rows[r], rows[live[0]] = rows[live[0]], rows[r]
+            if rows[r][c] < 0:
+                _combine(rows[r], -1, {}, 0)
+            for i in range(r):
+                if q := rows[i].get(c, 0) // rows[r][c]:
+                    _combine(rows[i], 1, rows[r], q)
+            r += 1
+    return rows
 
 
 def hermite_normal_form(M: Matrix) -> tuple[Matrix, Matrix]:
@@ -243,37 +277,9 @@ def hermite_normal_form(M: Matrix) -> tuple[Matrix, Matrix]:
     reduced into ``[0, pivot)``.  Zero rows are collected at the bottom.
     """
     nrows, ncols = M.shape
-    H = Matrix(([as_int(x) for x in row] for row in M), ncols)
-    U = identity(nrows)
-    r = 0
-    for c in range(ncols):
-        # Euclid on the column below the current row until one entry remains.
-        while True:
-            live = [i for i in range(r, nrows) if H[i][c] != 0]
-            if not live:
-                break
-            if len(live) == 1:
-                i = live[0]
-                H[r], H[i] = H[i], H[r]
-                U[r], U[i] = U[i], U[r]
-                break
-            live.sort(key=lambda i: abs(H[i][c]))
-            i, j = live[0], live[1]
-            q = H[j][c] // H[i][c]
-            H[j] = _subtract(H[j], q, H[i])
-            U[j] = _subtract(U[j], q, U[i])
-        if r < nrows and H[r][c] != 0:
-            if H[r][c] < 0:
-                H[r] = [-x for x in H[r]]
-                U[r] = [-x for x in U[r]]
-            for i in range(r):
-                q = H[i][c] // H[r][c]
-                if q != 0:
-                    H[i] = _subtract(H[i], q, H[r])
-                    U[i] = _subtract(U[i], q, U[r])
-            r += 1
-            if r == nrows:
-                break
+    rows = _hermite(_integer_rows(M), ncols)
+    H = Matrix(([row.get(j, 0) for j in range(ncols)] for row in rows), ncols)
+    U = Matrix(([row.get(ncols + j, 0) for j in range(nrows)] for row in rows), nrows)
     return H, U
 
 
@@ -294,23 +300,19 @@ def kernel_basis(M) -> list[tuple]:
 
 
 def integer_kernel_basis(M) -> list[tuple]:
-    """Basis of the integer null space of M.
-
-    It comes from the Hermite normal form of the transpose: the rows of the
-    transformation matrix paired with zero rows of H form a basis of the
-    kernel lattice, and since the transformation is unimodular that lattice
-    is automatically saturated (every integer vector of the rational kernel
-    is an integer combination of the basis).
-    """
+    """Basis of the integer null space of M: the rows of U beside the zero
+    rows of H in the Hermite normal form of the transpose.  U is unimodular,
+    so the basis is saturated: every integer vector of the rational kernel
+    is an integer combination of it."""
     if not isinstance(M, Matrix):
         M = matrix(M)
     nrows, ncols = M.shape
-    # Clear denominators row by row; this does not change the kernel.
-    rows = [_integer_row(row)[0] for row in M]
-    H, U = hermite_normal_form(
-        Matrix(([row.get(j, 0) for row in rows] for j in range(ncols)), nrows)
-    )
-    return [tuple(U[i]) for i in range(ncols) if not any(H[i])]
+    transpose: list[dict[int, int]] = [{} for _ in range(ncols)]
+    for i, entries in enumerate(M):
+        for j, x in _integer_row(entries)[0].items():  # clearing denominators keeps the kernel
+            transpose[j][i] = x
+    return [tuple([row.get(nrows + j, 0) for j in range(ncols)])
+            for row in _hermite(transpose, nrows) if min(row) >= nrows]
 
 
 def content(v: Sequence[int]) -> int:
@@ -345,16 +347,13 @@ def solve_rational(A: Matrix, b: Sequence) -> tuple | None:
 
 
 def in_integer_span(basis: Sequence[Sequence[int]], w: Sequence[int]) -> bool:
-    """True iff w is an integer combination of the basis vectors: reducing w
-    by integer multiples of the echelon rows of their Hermite normal form,
-    which span the same lattice, leaves zero."""
-    w = [as_fraction(x) for x in w]
-    for row in hermite_normal_form(matrix(basis))[0]:
-        c = next((j for j, x in enumerate(row) if x), None)
-        if c is None:
-            break
-        q = w[c] / row[c]
-        if q.denominator != 1:
-            return False
-        w = _subtract(w, q, row)
-    return not any(w)
+    """True iff w is an integer combination of the basis vectors: the zero
+    rows of the Hermite form of [basis; w] carry a saturated basis of the
+    integer relations, and some relation is 1 on w iff their gcd there is 1."""
+    B, w = matrix(basis), vector(w)
+    if B and B.ncols != len(w):
+        raise DimensionMismatch(f"{B.ncols}-dimensional basis, {len(w)}-dimensional vector")
+    if any(type(x) is not int for x in w):
+        return False
+    rows = _hermite(_integer_rows([*B, w]), len(w))
+    return gcd(*(row.get(len(w) + len(B), 0) for row in rows if min(row) >= len(w))) == 1

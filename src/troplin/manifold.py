@@ -343,11 +343,10 @@ def invariant_forms(M: AffineQuotientManifold, p: int) -> list[TropicalForm]:
     rows = []
     # A translation fixes every form, and a repeated linear part adds nothing.
     for A in dict.fromkeys(g.linear for g in M.generators if g.linear != _identity(M.dim)):
-        block = [[0] * len(subsets) for _ in subsets]  # row S: the compound's column S, minus e_S
-        for i, row in enumerate(block):
-            row[i] = -1
+        block = [{i: -1} for i in range(len(subsets))]  # row S: the compound's column S, minus e_S
         for (T, S), m in _minors(list(zip(*A)), p).items():
-            block[index[S]][index[T]] += m
+            row = block[index[S]]
+            row[index[T]] = row.get(index[T], 0) + m
         rows += block
     basis = linalg.integer_kernel_basis(linalg.Matrix(rows, len(subsets)))
     return [TropicalForm(M.dim, p, tuple(b)) for b in basis]

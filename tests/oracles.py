@@ -3,7 +3,8 @@
 Everything here is deliberately written from scratch on top of plain
 Python Fractions so that a library bug cannot hide behind shared code:
 row reduction for ranks, nullities and kernels, Leibniz determinants and
-the tuple-by-tuple evaluation of forms, lattice membership by
+the tuple-by-tuple evaluation of forms, a dense Hermite normal form that
+keeps its transformation matrix beside it, lattice membership by
 determinantal divisors, minor-based deformation constraints, the position
 check, brute-force orbit enumeration on the Klein deck group, deck groups
 enumerated in normal form for membership, an arc-by-arc walk for
@@ -129,6 +130,61 @@ def fixed_form_rank_oracle(dim, degree, linear_parts):
                   for t in range(k)]
         rows += [[images[t][s] - (t == s) for t in range(k)] for s in range(k)]
     return nullity_oracle(rows, k)
+
+
+def hermite_oracle(rows, ncols):
+    """Row-style Hermite normal form (H, U) of an integer matrix with H = U M,
+    on dense lists with a separate U: Euclid on each column below the current
+    row (smallest absolute value first, ties by row order), the survivor
+    swapped up and made positive, entries above it reduced into [0, pivot)."""
+    H = [[int(x) for x in row] for row in rows]
+    nrows = len(H)
+    U = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+
+    def subtract(i, q, k):
+        H[i] = [a - q * b for a, b in zip(H[i], H[k])]
+        U[i] = [a - q * b for a, b in zip(U[i], U[k])]
+
+    r = 0
+    for c in range(ncols):
+        while True:
+            live = [i for i in range(r, nrows) if H[i][c] != 0]
+            if not live:
+                break
+            if len(live) == 1:
+                i = live[0]
+                H[r], H[i] = H[i], H[r]
+                U[r], U[i] = U[i], U[r]
+                break
+            live.sort(key=lambda i: abs(H[i][c]))
+            i, j = live[0], live[1]
+            subtract(j, H[j][c] // H[i][c], i)
+        if r < nrows and H[r][c] != 0:
+            if H[r][c] < 0:
+                H[r] = [-x for x in H[r]]
+                U[r] = [-x for x in U[r]]
+            for i in range(r):
+                q = H[i][c] // H[r][c]
+                if q != 0:
+                    subtract(i, q, r)
+            r += 1
+            if r == nrows:
+                break
+    return H, U
+
+
+def hermite_kernel_oracle(rows, ncols):
+    """Saturated integer kernel: each row scaled by the lcm of its
+    denominators, then the rows of U beside the zero rows of H for the
+    transpose."""
+    scaled = []
+    for row in rows:
+        m = 1
+        for x in row:
+            m = m * Fraction(x).denominator // gcd(m, Fraction(x).denominator)
+        scaled.append([int(Fraction(x) * m) for x in row])
+    H, U = hermite_oracle([[row[j] for row in scaled] for j in range(ncols)], len(scaled))
+    return [tuple(u) for h, u in zip(H, U) if not any(h)]
 
 
 def _determinantal_divisor(rows, r):

@@ -485,8 +485,17 @@ class TestDeformationBasis:
         M = embedded.deformation_constraints(h)
         flat = [tuple(x for v in h.abstract.vertices for x in D[v])
                 for D in t.deformation_basis(h)]
-        assert flat == kernel_from_oracle([list(row) for row in M], M.ncols)
+        dense = [[row.get(j, 0) for j in range(M.ncols)] for row in M]
+        assert flat == kernel_from_oracle(dense, M.ncols)
         assert len(flat) == deformation_nullity_minor_oracle(h)
+        # Each edge's rows are sparse: they hold only its tail and head columns.
+        n, rows = h.manifold.dim, iter(M)
+        columns = {v: range(i * n, i * n + n) for i, v in enumerate(h.abstract.vertices)}
+        for e in h.abstract.finite_edges():
+            d = h.data(e.id)
+            for _ in linalg.annihilator_basis(linalg.mat_vec(d.deck.linear, d.direction)):
+                assert set(next(rows)) <= {*columns[e.tail], *columns[e.head]}
+        assert next(rows, None) is None
 
     def test_members_satisfy_conditions(self, fig1a):
         from troplin.embedded import is_deformation

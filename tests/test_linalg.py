@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 from oracles import (
     gcd_vector,
+    hermite_kernel_oracle,
+    hermite_oracle,
     integer_span_oracle,
     kernel_contains,
     kernel_from_oracle,
@@ -23,7 +25,7 @@ from oracles import (
 )
 
 from troplin import linalg
-from troplin.errors import IrrationalData, ZeroVector
+from troplin.errors import DimensionMismatch, IrrationalData, ZeroVector
 from troplin.linalg import (
     Matrix,
     as_fraction,
@@ -75,7 +77,7 @@ class TestHermiteNormalForm:
         assert H == [[1, 1], [0, 2]]
 
     def test_identity(self):
-        M = linalg.identity(3)
+        M = matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         H, U = hermite_normal_form(M)
         assert H == M
         assert U == M
@@ -84,7 +86,11 @@ class TestHermiteNormalForm:
         M = linalg.zeros(2, 2)
         H, U = hermite_normal_form(M)
         assert H == [[0, 0], [0, 0]]
-        assert U == linalg.identity(2)
+        assert U == [[1, 0], [0, 1]]
+
+    def test_non_integer_entries_are_refused(self):
+        with pytest.raises(IrrationalData, match="not an integer matrix"):
+            hermite_normal_form(matrix([[1, Fraction(1, 2)]]))
 
     @given(
         st.lists(
@@ -169,6 +175,16 @@ class TestKernelBasis:
 
 
 class TestIntegerSpan:
+    def test_dimensions_must_agree(self):
+        for basis, w in (([(1,)], (1, 5)), ([(1, 0)], (1,))):
+            with pytest.raises(DimensionMismatch):
+                in_integer_span(basis, w)
+
+    def test_fractional_vector_is_outside_an_integer_lattice(self):
+        assert not in_integer_span([(1, 0), (0, 1)], (Fraction(1, 2), 0))
+        with pytest.raises(IrrationalData):
+            in_integer_span([(Fraction(1, 2), 0)], (1, 0))
+
     def test_dependent_generators(self):
         assert in_integer_span([(2,), (3,)], (1,))  # 1 = 3 - 2
         assert not in_integer_span([(2,), (4,)], (1,))
@@ -237,6 +253,44 @@ square_matrices = st.integers(0, 6).flatmap(
 )
 
 
+@st.composite
+def integer_matrices(draw):
+    """(rows, ncols): tall, wide, empty and square shapes, with zero rows,
+    zero columns and duplicate rows."""
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    row = st.lists(st.one_of(st.just(0), st.integers(-9, 9)), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    if rows and ncols and draw(st.booleans()):
+        j = draw(st.integers(0, ncols - 1))
+        for r in rows:
+            r[j] = 0
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    if rows and draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
+    return rows, ncols
+
+
+class TestHermiteAgainstDenseOracle:
+    """The sparse [M | I] Hermite form runs the dense oracle's row operations
+    in the same order, so its outputs are identical, not merely equivalent."""
+
+    @given(integer_matrices())
+    @example(([[0, 2, 4], [0, 2, 4], [0, 0, 0], [0, -3, 1]], 3))
+    @settings(max_examples=400, deadline=None)
+    def test_hermite_normal_form_is_the_oracle(self, case):
+        rows, ncols = case
+        H, U = hermite_normal_form(Matrix(rows, ncols))
+        assert (H, U) == hermite_oracle(rows, ncols)
+        assert H.shape == (len(rows), ncols) and U.shape == (len(rows), len(rows))
+
+    @given(st.one_of(integer_matrices(), sparse_matrices()))
+    @settings(max_examples=400, deadline=None)
+    def test_integer_kernel_is_the_oracle(self, case):
+        rows, ncols = case
+        assert integer_kernel_basis(Matrix(rows, ncols)) == hermite_kernel_oracle(rows, ncols)
+
+
 class TestEliminationCore:
     @given(sparse_matrices())
     @settings(max_examples=300, deadline=None)
@@ -271,6 +325,10 @@ class TestEliminationCore:
         inv, n = inverse(rows), len(rows)
         assert matmul(inv, rows) == [[int(i == j) for j in range(n)] for i in range(n)]
         assert all(type(x) is (int if x.denominator == 1 else Fraction) for row in inv for x in row)
+
+    def test_rank_refuses_ragged_rows(self):
+        with pytest.raises(ValueError, match="ragged"):
+            rank([[1, 2], [3]])
 
     def test_det_of_a_rank_deficient_matrix(self):
         assert det([[1, 2, 3], [2, 4, 6], [0, 1, 5]]) == 0
