@@ -11,8 +11,6 @@ that should be zero are exactly zero.  All operations are pure functions
 on immutable values and safe for concurrent use.
 """
 
-from importlib import resources
-
 from .curve import (
     INF,
     AbstractTropicalCurve,
@@ -107,4 +105,6 @@ __version__ = "0.1.0"
 
 def data_path(name: str):
     """Filesystem path of a bundled data file such as ``fig1a.json``."""
+    from importlib import resources  # here, not at import: only this function needs it
+
     return resources.files("troplin").joinpath("data", name)

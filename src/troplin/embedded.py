@@ -471,7 +471,12 @@ class ZeroCycle:
         return sum(self.keys.values())
 
     def multiplicity(self, point: Sequence) -> int:
-        return self.keys.get(point_key(point), 0)
+        """The multiplicity of an exact canonical point; a point of another
+        length than the cycle's points raises ``ValueError``."""
+        key = point_key(point)
+        if self.keys and len(key) != len(next(iter(self.keys))):
+            raise ValueError("point dimension mismatch")
+        return self.keys.get(key, 0)
 
     def is_empty(self) -> bool:
         return not self.keys

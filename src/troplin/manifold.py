@@ -53,6 +53,16 @@ class DeckElement:
         object.__setattr__(self, "linear", tuple(tuple(as_int(e) for e in row) for row in self.linear))
         object.__setattr__(self, "translation", vector(self.translation))
 
+    @classmethod
+    def _derived(cls, linear: tuple[tuple[int, ...], ...], translation: tuple) -> "DeckElement":
+        """A deck made from checked decks, unimodular by construction: linear
+        is already a tuple of int tuples and translation an exact vector, so
+        ``__post_init__``'s check and copies are skipped."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "linear", linear)
+        object.__setattr__(g, "translation", translation)
+        return g
+
     @property
     def dim(self) -> int:
         return len(self.translation)
@@ -73,12 +83,12 @@ class DeckElement:
         AB = tuple(
             tuple(sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)) for i in range(n)
         )
-        return DeckElement(AB, self.apply(other.translation))
+        return DeckElement._derived(AB, self.apply(other.translation))
 
     def inverse(self) -> "DeckElement":
         """x -> A^-1 (x - t)."""
         Ainv = tuple(map(tuple, linalg.inverse(self.linear)))
-        return DeckElement(Ainv, vector(-x for x in linalg.mat_vec(Ainv, self.translation)))
+        return DeckElement._derived(Ainv, vector(-x for x in linalg.mat_vec(Ainv, self.translation)))
 
     def is_identity(self) -> bool:
         return self.linear == _identity(self.dim) and not any(self.translation)
@@ -102,7 +112,7 @@ def _identity(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def identity_deck(n: int) -> DeckElement:
-    return DeckElement(_identity(n), (0,) * n)
+    return DeckElement._derived(_identity(n), (0,) * n)
 
 
 def translation_deck(t: Sequence) -> DeckElement:
@@ -215,7 +225,7 @@ def _extended(A: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
 
 def extend_deck(g: DeckElement) -> DeckElement:
     """The same transformation acting trivially on one extra coordinate."""
-    return DeckElement(_extended(g.linear), g.translation + (0,))
+    return DeckElement._derived(_extended(g.linear), g.translation + (0,))
 
 
 def product_with_line(M: AffineQuotientManifold) -> AffineQuotientManifold:
@@ -309,7 +319,9 @@ class TropicalForm:
             raise ValueError(
                 f"need {expected} coefficients for degree {self.degree} in dim {self.dim}"
             )
-        object.__setattr__(self, "coefficients", tuple(as_int(c) for c in self.coefficients))
+        c = self.coefficients
+        if type(c) is not tuple or not {*map(type, c)} <= {int}:  # ints pass as they are
+            object.__setattr__(self, "coefficients", tuple(as_int(e) for e in c))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coefficients)
@@ -383,17 +395,19 @@ def albanese_data(M: AffineQuotientManifold) -> AlbaneseData:
 # Canonical representatives
 
 
-# A point x is handled as integers n over a denominator d > 0, x = n / d.
-# Each kind reduces such a point in integer arithmetic alone, and reports the
-# linear part of the deck element taking the representative back to x.  A
-# point's key is its reduced (n_1, ..., n_k, d) in lowest terms, so two
-# points lie in one orbit iff their keys are equal.
+# A point x is read as integers n over a denominator d > 0, x = n / d.  Each
+# kind's reducer takes the exact point and reduces it in integer arithmetic
+# alone, returning (key, L): the key is the canonical representative's
+# (n_1, ..., n_k, d) in lowest terms, so two points lie in one orbit iff
+# their keys are equal, and L is the linear part of the deck element taking
+# the representative back to x.
 
 
-def _scaled(x: Sequence, base: int) -> tuple[list[int], int]:
-    """x as integers over d, the lcm of base and x's (``as_ratio``) denominators."""
+def _scaled(x: Sequence) -> tuple[list[int], int]:
+    """x as integers over d, the lcm of x's (``as_ratio``) denominators; the
+    pair n / d is then in lowest terms."""
     q = [as_ratio(c) for c in x]
-    d = lcm(base, *[e for _, e in q])
+    d = lcm(*[e for _, e in q])
     return [n * (d // e) for n, e in q], d
 
 
@@ -408,55 +422,93 @@ def _torus_reduction(M: AffineQuotientManifold) -> Callable:
     W = [[c.numerator * (q // c.denominator) for c in row] for row in Vinv]
     identity = _identity(M.dim)
 
-    def reduce(n: list[int], d: int) -> tuple[list[int], int, tuple]:
+    def torus(x: Sequence) -> tuple[tuple[int, ...], tuple]:
+        n, d = _scaled(x)
+        if len(n) != M.dim:
+            raise ValueError("point dimension mismatch")
         qd = q * d
-        r = [sum(w * c for w, c in zip(row, n)) % qd for row in W]
-        return [sum(v * c for v, c in zip(row, r)) for row in A], a * qd, identity
+        r = [sum(map(mul, row, n)) % qd for row in W]
+        key = [sum(map(mul, row, r)) for row in A]
+        key.append(a * qd)
+        g = gcd(*key)
+        return tuple([c // g for c in key]), identity
 
-    return reduce
+    return torus
 
 
-def _integer_reduction(M: AffineQuotientManifold) -> tuple[int, Callable]:
-    """(D, f): for a point n / d of M with D dividing d, f(n, d) = (n', d', L)
-    where n' / d' is its canonical representative, d divides d', and L is the
-    linear part of the deck element taking n' / d' to n / d."""
+def _integer_reduction(M: AffineQuotientManifold) -> Callable[[Sequence], tuple]:
+    """M's reducer: x -> (key, L), the key (n_1, ..., n_k, d) of the canonical
+    representative of the exact point x in lowest terms, and the linear part
+    L of the deck element taking that representative to x.  A point of the
+    wrong length raises ``ValueError``, an inexact coordinate
+    ``IrrationalData`` (``as_ratio``), and a kind without a reduction
+    ``UnsupportedManifoldKind``."""
     if M.kind == KIND_EUCLIDEAN:
         identity = _identity(M.dim)
-        return 1, lambda n, d: (n, d, identity)
+
+        def euclidean(x: Sequence) -> tuple[tuple[int, ...], tuple]:
+            n, d = _scaled(x)
+            if len(n) != M.dim:
+                raise ValueError("point dimension mismatch")
+            return (*n, d), identity
+
+        return euclidean
     if M.kind == KIND_TORUS:
-        return 1, _torus_reduction(M)
+        return _torus_reduction(M)
     if M.kind == KIND_KLEIN:
         x0, y0 = M.klein_params
         D = lcm(x0.denominator, y0.denominator)
         X, Y = (c.numerator * (D // c.denominator) for c in (x0, y0))  # the periods over D
         linear = _identity(2), ((1, 0), (0, -1))  # of b^k a^m, by the parity of k
 
-        def klein(n: list[int], d: int) -> tuple[list[int], int, tuple]:
+        def klein(x: Sequence) -> tuple[tuple[int, ...], tuple]:
+            if len(x) != 2:
+                raise ValueError("point dimension mismatch")
+            a, b = x  # read inline: this is the hot path of every Klein 0-cycle
+            if type(a) is Fraction:
+                n0, e0 = a.numerator, a.denominator
+            elif type(a) is int:
+                n0, e0 = a, 1
+            else:
+                n0, e0 = as_ratio(a)
+            if type(b) is Fraction:
+                n1, e1 = b.numerator, b.denominator
+            elif type(b) is int:
+                n1, e1 = b, 1
+            else:
+                n1, e1 = as_ratio(b)
+            d = lcm(D, e0, e1)
             s = d // D
-            k, x = divmod(n[0], X * s)
-            y = -n[1] if k & 1 else n[1]  # an odd number of b's flips y
-            return [x, y % (Y * s)], d, linear[k & 1]
+            k, u = divmod(n0 * (d // e0), X * s)
+            v = n1 * (d // e1)
+            v = (-v if k & 1 else v) % (Y * s)  # an odd number of b's flips y
+            g = gcd(u, v, d)
+            return (u // g, v // g, d // g), linear[k & 1]
 
-        return D, klein
+        return klein
     if M.kind == KIND_PRODUCT:
-        D, base = _integer_reduction(M.base)
+        base = _integer_reduction(M.base)
         lift = cache(_extended)  # the base reports a few linear parts, over and over
 
-        def product(n: list[int], d: int) -> tuple[list[int], int, tuple]:
-            nb, e, L = base(n[:-1], d)
-            return nb + [n[-1] * (e // d)], e, lift(L)
+        def product(x: Sequence) -> tuple[tuple[int, ...], tuple]:
+            if len(x) != M.dim:
+                raise ValueError("point dimension mismatch")
+            (*nb, d), L = base(x[:-1])
+            n, e = as_ratio(x[-1])
+            m = lcm(d, e)  # both parts are in lowest terms, so over the lcm the key is too
+            return (*[c * (m // d) for c in nb], n * (m // e), m), lift(L)
 
-        return D, product
+        return product
 
-    def unsupported(n: list[int], d: int):
+    def unsupported(x: Sequence):
         raise UnsupportedManifoldKind(f"no canonical representative for kind {M.kind!r}")
 
-    return 1, unsupported
+    return unsupported
 
 
 def point_key(x: Sequence) -> tuple[int, ...]:
     """The key (n_1, ..., n_k, d) of an exact point as it stands, unreduced."""
-    n, d = _scaled(x, 1)  # over the least common denominator: lowest terms already
+    n, d = _scaled(x)
     return (*n, d)
 
 
@@ -468,20 +520,11 @@ def key_point(key: Sequence[int]) -> tuple:
 
 def point_reducer(M: AffineQuotientManifold) -> Callable[[Sequence], tuple[int, ...]]:
     """The function sending a point of M to the key of its canonical
-    representative.  Supported for euclidean, torus and klein kinds and
-    products of those with a line; the torus inverse is built once here."""
-    D, reduce = _integer_reduction(M)
-
-    def key(x: Sequence) -> tuple[int, ...]:
-        n, d = _scaled(x, D)
-        if len(n) != M.dim:
-            raise ValueError("point dimension mismatch")
-        n, d, _ = reduce(n, d)
-        n.append(d)
-        g = gcd(*n)
-        return tuple([c // g for c in n])
-
-    return key
+    representative: the key half of M's one reducer (``_integer_reduction``),
+    built once here.  Supported for euclidean, torus and klein kinds and
+    products of those with a line."""
+    reduce = _integer_reduction(M)
+    return lambda x: reduce(x)[0]
 
 
 def reduce_point(M: AffineQuotientManifold, x: Sequence) -> tuple:
@@ -490,7 +533,7 @@ def reduce_point(M: AffineQuotientManifold, x: Sequence) -> tuple:
     Two points reduce equal iff they lie in the same deck orbit.  Supported
     for euclidean, torus and klein kinds and products of those with a line.
     """
-    return key_point(point_reducer(M)(x))
+    return key_point(_integer_reduction(M)(x)[0])
 
 
 def contains_deck(M: AffineQuotientManifold, g: DeckElement) -> bool | None:
@@ -499,24 +542,25 @@ def contains_deck(M: AffineQuotientManifold, g: DeckElement) -> bool | None:
 
 
 def deck_membership(M: AffineQuotientManifold) -> Callable[[DeckElement], bool | None]:
-    """``contains_deck`` for M as one predicate, with the reduction built once:
-    the action is free, so (A, t) belongs iff t reduces to 0 with linear part
-    A.  Without a reduction (a general base), a product's element must fix the
-    line, and on the base only the identity is decided."""
-    D, reduce = _integer_reduction(M)
+    """``contains_deck`` for M as one predicate, with M's reducer built once:
+    the action is free, so (A, t) belongs iff the reducer sends t to the key
+    (0, ..., 0, 1) with linear part A.  Without a reduction (a general base),
+    a product's element must fix the line, and on the base only the identity
+    is decided."""
+    reduce = _integer_reduction(M)
 
     def member(g: DeckElement) -> bool | None:
         if g.dim != M.dim:
             return False
         try:
-            n, _, L = reduce(*_scaled(g.translation, D))
+            key, L = reduce(g.translation)
         except UnsupportedManifoldKind:
             if M.kind != KIND_PRODUCT:
                 return g.is_identity() or None
             A = tuple(row[:-1] for row in g.linear[:-1])  # the base's part, if g fixes the line
             return (not g.translation[-1] and g.linear == _extended(A)
                     and deck_membership(M.base)(DeckElement(A, g.translation[:-1])))
-        return not any(n) and g.linear == L
+        return not any(key[:-1]) and g.linear == L
 
     return member
 

@@ -770,3 +770,44 @@ class TestZeroCycle:
     def test_wrong_length_point(self, klein23):
         with pytest.raises(ValueError, match="point dimension mismatch"):
             t.zero_cycle(klein23, [((0, 0), 1), ((0, 0, 0), 1)])
+
+
+def _three_readers(M):
+    """zero_cycle, reduce_point and ZeroCycle.multiplicity, each as a
+    function of one point; the cycle holds one point, so it knows its length."""
+    z = t.zero_cycle(M, [((0,) * M.dim, 1)])
+    return [lambda p: t.zero_cycle(M, [(p, 1)]), lambda p: t.reduce_point(M, p), z.multiplicity]
+
+
+@pytest.mark.parametrize("M", CYCLE_MANIFOLDS,
+                         ids=[f"{i}-{M.kind}" for i, M in enumerate(CYCLE_MANIFOLDS)])
+class TestReducerInputs:
+    """Each kind's reducer reads the exact point once, by its own branch; what
+    it refuses and how it reads a string are the same on every kind."""
+
+    def test_wrong_length_point(self, M):
+        for point in [(1,) * (M.dim - 1), (Fraction(1, 2),) * (M.dim + 1)]:
+            for read in _three_readers(M):
+                with pytest.raises(ValueError, match="^point dimension mismatch$") as info:
+                    read(point)
+                assert info.type is ValueError
+
+    def test_float_or_bool_coordinate(self, M):
+        for i in range(M.dim):
+            for bad in (0.5, True, False):
+                point = [Fraction(1, 3)] * M.dim
+                point[i] = bad
+                for read in _three_readers(M):
+                    with pytest.raises(t.IrrationalData):
+                        read(tuple(point))
+
+    def test_non_canonical_string_reads_as_lowest_terms(self, M):
+        half = (Fraction(1, 2),) * M.dim
+        assert t.reduce_point(M, ("2/4",) * M.dim) == t.reduce_point(M, half)
+        assert t.zero_cycle(M, [(("2/4",) * M.dim, 1)]) == t.zero_cycle(M, [(half, 1)])
+        z = t.zero_cycle(M, [(half, 3)])
+        (point, _), = z.entries
+        doubled = tuple(f"{2 * Fraction(c).numerator}/{2 * Fraction(c).denominator}" for c in point)
+        assert z.multiplicity(doubled) == 3
+        if point == half:
+            assert z.multiplicity(("2/4",) * M.dim) == 3

@@ -671,3 +671,57 @@ class TestPeriodicReductionProperties:
         assert image == tuple(sum(a * Fraction(y) for a, y in zip(row, x)) + s
                               for row, s in zip(g.linear, g.translation))
         assert exact_and_normalized(image)
+
+
+class TestDerivedDecks:
+    """Decks made from checked decks skip the unimodularity check, and equal
+    the same deck built through the checked constructor."""
+
+    @given(unimodular_decks(), st.integers(-4, 4))
+    @settings(max_examples=50, deadline=None)
+    def test_derived_decks_equal_the_checked_construction(self, g, k):
+        h = g.inverse()
+        for derived in (h, g.compose(g), h.compose(g.power(3)), g.power(k),
+                        manifold.extend_deck(h), identity_deck(g.dim)):
+            checked = t.DeckElement(derived.linear, derived.translation)
+            assert repr(derived) == repr(checked) and derived == checked
+            assert hash(derived) == hash(checked)
+
+    def test_derived_decks_run_no_check(self, monkeypatch):
+        calls = []
+        post_init = t.DeckElement.__post_init__
+        monkeypatch.setattr(t.DeckElement, "__post_init__",
+                            lambda self: calls.append(self) or post_init(self))
+        a, b = t.make_klein(2, 3).generators
+        calls.clear()
+        manifold.extend_deck(a.compose(b.inverse()).power(-5))
+        identity_deck(3)
+        assert calls == []
+        t.DeckElement(((1, 0), (0, -1)), (Fraction(1, 2), 0))
+        assert len(calls) == 1
+
+    def test_checked_constructor_still_refuses(self):
+        with pytest.raises(ValueError, match="unimodular|det"):
+            t.DeckElement(((2, 0), (0, 1)), (0, 0))
+        with pytest.raises(ValueError):
+            t.DeckElement(((1, 0), (0, 1)), (0, 0, 0))
+
+
+class TestFormCoefficients:
+    def test_int_coefficients_are_kept(self):
+        coefficients = (1, -2, 0)
+        form = t.TropicalForm(3, 1, coefficients)
+        assert form.coefficients is coefficients
+
+    def test_other_exact_integers_become_ints(self):
+        form = t.TropicalForm(3, 1, [Fraction(4, 2), 3, 0])
+        assert form.coefficients == (2, 3, 0) and type(form.coefficients) is tuple
+        assert [type(c) for c in form.coefficients] == [int, int, int]
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, Fraction(1, 2)])
+    def test_inexact_or_boolean_coefficients_are_refused(self, bad):
+        for i in range(3):
+            coefficients = [1, 0, -1]
+            coefficients[i] = bad
+            with pytest.raises(t.IrrationalData):
+                t.TropicalForm(3, 1, tuple(coefficients))
