@@ -363,28 +363,49 @@ def require_valid_parametrized(h: ParametrizedTropicalCurve) -> None:
 # Deformations
 
 
+def _offsets(h: ParametrizedTropicalCurve) -> dict[str, int]:
+    """{vertex: its first column}: vertex i's tangent vector is unknown in
+    columns i*n .. i*n + n - 1 of the deformation constraints."""
+    n = h.manifold.dim
+    return {v: i * n for i, v in enumerate(h.abstract.vertices)}
+
+
 def deformation_constraints(h: ParametrizedTropicalCurve):
     """Linear conditions cutting out the deformation space, as a ``Matrix``
-    of sparse ``{column: value}`` dict rows; vertex i's tangent vector is
-    unknown in columns i*n .. i*n + n - 1.  Each finite edge with deck linear
-    part A and direction d contributes rows in its tail's and head's columns
-    only: A u_tail - u_head must be parallel to A d, encoded by a saturated
-    basis of the annihilator of A d.  Semi-infinite edges impose nothing.
+    of sparse ``{column: value}`` dict rows over the columns of ``_offsets``.
+    Each finite edge with deck linear part A and direction d contributes
+    rows in its tail's and head's columns only: A u_tail - u_head must be
+    parallel to A d, encoded by a saturated basis of the annihilator of A d.
+    Semi-infinite edges impose nothing.
     """
     n = h.manifold.dim
-    offsets = {v: i * n for i, v in enumerate(h.abstract.vertices)}
+    offsets = _offsets(h)
+
+    @cache  # once per distinct (linear part, direction), in this call
+    def pieces(A, direction) -> list[tuple[list[int], tuple]]:
+        """(phi A, phi) for each phi of the annihilator of A d."""
+        columns = list(zip(*A))
+        return [([sum(map(mul, phi, column)) for column in columns], phi)
+                for phi in linalg.annihilator_basis(linalg.mat_vec(A, direction))]
+
     rows = []
-    annihilator = cache(linalg.annihilator_basis)  # once per distinct direction, in this call
     for e in h.abstract.finite_edges():
         d = h.data(e.id)
-        A = d.deck.linear
         tail, head = offsets[e.tail], offsets[e.head]
-        for phi in annihilator(linalg.mat_vec(A, d.direction)):
-            row = {tail + j: sum(phi[i] * A[i][j] for i in range(n)) for j in range(n)}
-            for j in range(n):
-                row[head + j] = row.get(head + j, 0) - phi[j]
+        for phi_A, phi in pieces(d.deck.linear, d.direction):
+            row = dict(zip(range(tail, tail + n), phi_A))
+            for j, x in zip(range(head, head + n), phi):
+                row[j] = row.get(j, 0) - x
             rows.append(row)
-    return linalg.Matrix(rows, n * len(h.abstract.vertices))
+    return linalg.Matrix(rows, n * len(offsets))
+
+
+def _deformation_kernel(h: ParametrizedTropicalCurve) -> list[dict]:
+    """The deformation space of a valid h as sparse vectors over the columns
+    of ``_offsets``, one ``{column: value}`` dict per basis vector
+    (``linalg._kernel``)."""
+    require_valid_parametrized(h)
+    return linalg._kernel(deformation_constraints(h))
 
 
 def deformation_basis(h: ParametrizedTropicalCurve) -> list[dict[str, tuple]]:
@@ -393,11 +414,14 @@ def deformation_basis(h: ParametrizedTropicalCurve) -> list[dict[str, tuple]]:
     Edge directions (the discrete data) stay fixed; the returned dimension
     is that of the solution space of the per-edge parallelism conditions.
     """
-    require_valid_parametrized(h)
+    kernel = _deformation_kernel(h)
     n = h.manifold.dim
-    offsets = {v: i * n for i, v in enumerate(h.abstract.vertices)}
-    basis = linalg.kernel_basis(deformation_constraints(h))
-    return [{v: b[off : off + n] for v, off in offsets.items()} for b in basis]
+    offsets = _offsets(h)
+    basis = []
+    for b in kernel:
+        dense = linalg._dense(b, n * len(offsets))
+        basis.append({v: tuple(dense[off : off + n]) for v, off in offsets.items()})
+    return basis
 
 
 def is_deformation(h: ParametrizedTropicalCurve, assignment: Mapping[str, Sequence]) -> bool:

@@ -40,6 +40,8 @@ from .manifold import (
     AffineQuotientManifold,
     DeckElement,
     extend_deck,
+    key_point,
+    point_reducer,
     product_with_line,
     reduce_point,
 )
@@ -93,9 +95,13 @@ class FiberCircle:
 
     def point_at(self, t) -> tuple:
         """Canonical representative of the circle point at parameter t."""
+        return reduce_point(self.manifold, self._lift(t))
+
+    def _lift(self, t) -> list:
+        """The point at parameter t, taken modulo the circumference, on the
+        lift of the circle through its anchor."""
         t = as_fraction(t) % self.circumference
-        lift = [a + t * u for a, u in zip(self.anchor, self.direction)]
-        return reduce_point(self.manifold, lift)
+        return [a + t * u for a, u in zip(self.anchor, self.direction)]
 
 
 def circle_embedding(
@@ -117,12 +123,14 @@ def fiber_circle(K: AffineQuotientManifold, axis: int, value) -> FiberCircle:
     b identifies antipodes of the long circle.
     """
     x0, y0 = _require_klein(K)
+    # The canonical representatives of (value, 0) and (0, value) are
+    # (value mod x0, 0) and (0, value mod y0).
     if axis == 1:
-        theta = reduce_point(K, (value, 0))[0]
+        theta = as_fraction(value) % x0
         closing = K.deck_from_word("a^-1")
         return FiberCircle(K, y0, (theta, 0), (0, 1), closing)
     if axis == 2:
-        y = reduce_point(K, (0, value))[1]
+        y = as_fraction(value) % y0
         if y == 0 or y == y0 / 2:
             word = "b^-1" if y == 0 else "b^-1 a^-1"
             return FiberCircle(K, x0, (0, y), (1, 0), K.deck_from_word(word), special=True)
@@ -148,7 +156,9 @@ def fiber_position(circle: FiberCircle, p: Sequence) -> Fraction:
     tested exactly, and embedded circles have exactly one match.
     """
     M = circle.manifold
-    target = reduce_point(M, p)
+    key = point_reducer(M)  # built once for every candidate
+    target = key(p)
+    x = key_point(target)
     c = circle.circumference
     i, d = next((i, d) for i, d in enumerate(circle.direction) if d != 0)
     period = Fraction(0)
@@ -157,10 +167,10 @@ def fiber_position(circle: FiberCircle, p: Sequence) -> Fraction:
     step = period / abs(d) if period else c
     signs = (1, -1) if any(g.linear[i][i] == -1 for g in M.generators) else (1,)
     for sign in signs:
-        t0 = Fraction(sign * target[i] - circle.anchor[i], d)
+        t0 = Fraction(sign * x[i] - circle.anchor[i], d)
         for k in range(ceil(c / step)):
             t = (t0 + k * step) % c
-            if circle.point_at(t) == target:
+            if key(circle._lift(t)) == target:
                 return t
     raise ValueError("point does not lie on the circle")
 
@@ -340,10 +350,7 @@ def modification_curve(
         positions,
         edges_emb,
     )
-    expected = zero_cycle(
-        B,
-        [(circle.point_at(t), -m) for t, m in f.divisor()],
-    )
+    expected = zero_cycle(B, [(circle._lift(t), -m) for t, m in f.divisor()])
     if boundary_zero_cycle(h) != expected:
         raise InvalidCurve("modification boundary does not match the divisor")
     return h
@@ -392,15 +399,15 @@ def witness_two_torsion(
     special fibers, where iota fixes p and the relation degenerates.
     """
     x0, y0 = _require_klein(K)
-    p = reduce_point(K, p)
+    p = reduce_point(K, p)  # zero_cycle reduces every other point itself
     circle = fiber_circle(K, 2, p[1])
     if circle.special:
         raise SpecialFiber("two-torsion witness needs a generic axis-2 fiber")
-    t_p = fiber_position(circle, p)
+    t_p = p[0]  # the circle runs from (0, p[1]) along the first axis
     divisor = [(t_p, 2), (t_p + x0, -2)]
     f = principal_function(circle.circumference, divisor)
     h = modification_curve(circle, f)
-    expected = zero_cycle(K, [(iota(K, p), 2), (p, -2)])
+    expected = zero_cycle(K, [((p[0], -p[1]), 2), (p, -2)])
     if boundary_zero_cycle(h) != expected:
         raise InvalidCurve("two-torsion witness has the wrong boundary")
     return h
@@ -416,7 +423,7 @@ def witness_fiber_relation(
     class vanishes identically because iota negates the fiber coordinate.
     """
     x0, y0 = _require_klein(K)
-    p = reduce_point(K, p)
+    p = reduce_point(K, p)  # zero_cycle reduces every other point itself
     if p[1] == 0:
         raise OnSection("point lies on the image of the section")
     theta = p[0]
@@ -424,9 +431,7 @@ def witness_fiber_relation(
     divisor = [(p[1], 1), (-p[1], 1), (0, -2)]
     f = principal_function(circle.circumference, divisor)
     h = modification_curve(circle, f)
-    expected = zero_cycle(
-        K, [(section_point(K, theta), 2), (p, -1), (iota(K, p), -1)]
-    )
+    expected = zero_cycle(K, [((theta, 0), 2), (p, -1), ((p[0], -p[1]), -1)])
     if boundary_zero_cycle(h) != expected:
         raise InvalidCurve("fiber-relation witness has the wrong boundary")
     return h

@@ -119,14 +119,17 @@ def _integer_row(entries) -> tuple[dict[int, int], int]:
     times the lcm of their denominators."""
     items = entries.items() if isinstance(entries, dict) else enumerate(entries)
     row = {j: x for j, x in items if x}
+    if all(type(x) is int for x in row.values()):
+        return row, 1
     scale = lcm(*(x.denominator for x in row.values()))
     return {j: x.numerator * (scale // x.denominator) for j, x in row.items()}, scale
 
 
 def _combine(row: dict, alpha: int, other: dict, beta: int) -> int:
     """Replace row by the primitive part of alpha*row - beta*other; return its content."""
-    for j, x in row.items():
-        row[j] = alpha * x
+    if alpha != 1:
+        for j, x in row.items():
+            row[j] = alpha * x
     for j, y in other.items():
         x = row.get(j, 0) - beta * y
         if x:
@@ -246,25 +249,45 @@ def _hermite(rows: list[dict[int, int]], ncols: int) -> list[dict[int, int]]:
     so U is unimodular, H = U M, and every row stays primitive (``_combine``
     never divides).  Euclid on each column below the current row leaves one
     entry, which is swapped up, made positive and reduces the entries above it
-    into [0, pivot).  Zero rows of H are collected at the bottom."""
+    into [0, pivot).  Zero rows of H are collected at the bottom.  The rows
+    holding each column of M are indexed by position, so each step visits
+    only the rows non-zero in its column."""
+    holding: list[set[int]] = [set() for _ in range(ncols)]  # column -> row positions
+
+    def track(i: int, columns) -> None:
+        """Bring the index up to date for row i over the given columns."""
+        for j in columns:
+            if j < ncols:
+                if j in rows[i]:
+                    holding[j].add(i)
+                else:
+                    holding[j].discard(i)
+
+    def combine(i: int, other: dict, beta: int) -> None:
+        _combine(rows[i], 1, other, beta)
+        track(i, other)  # only other's columns can enter or leave row i
+
     for i, row in enumerate(rows):
         row[ncols + i] = 1
+        track(i, row)
     r = 0
     for c in range(ncols):
         while True:
-            live = sorted((i for i in range(r, len(rows)) if c in rows[i]),
-                          key=lambda i: abs(rows[i][c]))
+            live = sorted((i for i in holding[c] if i >= r), key=lambda i: (abs(rows[i][c]), i))
             if len(live) < 2:
                 break
             i, j = live[:2]
-            _combine(rows[j], 1, rows[i], rows[j][c] // rows[i][c])
+            combine(j, rows[i], rows[j][c] // rows[i][c])
         if live:
-            rows[r], rows[live[0]] = rows[live[0]], rows[r]
+            if (s := live[0]) != r:
+                rows[r], rows[s] = rows[s], rows[r]
+                track(r, both := rows[r].keys() | rows[s].keys())
+                track(s, both)
             if rows[r][c] < 0:
                 _combine(rows[r], -1, {}, 0)
-            for i in range(r):
-                if q := rows[i].get(c, 0) // rows[r][c]:
-                    _combine(rows[i], 1, rows[r], q)
+            for i in [i for i in holding[c] if i < r]:
+                if q := rows[i][c] // rows[r][c]:
+                    combine(i, rows[r], q)
             r += 1
     return rows
 
@@ -283,20 +306,39 @@ def hermite_normal_form(M: Matrix) -> tuple[Matrix, Matrix]:
     return H, U
 
 
+def _kernel(M) -> list[dict]:
+    """The rational null space of M as sparse vectors: one ``{column: value}``
+    dict per free column f of the reduced row echelon form, holding 1 at f
+    and, at each pivot column c whose row reaches f, minus that row's entry
+    over its pivot; ints where integral.  Only non-zero entries are held,
+    so a column a vector lacks is 0 in it.  ``kernel_basis`` is its dense view."""
+    if not isinstance(M, Matrix):
+        M = matrix(M)
+    pivots = _eliminate(M)
+    free = {f: {f: 1} for f in range(M.ncols) if f not in pivots}
+    for c, row in pivots.items():
+        p = row[c]
+        for j, x in row.items():
+            if j != c:
+                q, r = divmod(-x, p)
+                free[j][c] = Fraction(-x, p) if r else q
+    return list(free.values())
+
+
+def _dense(v: dict, width: int) -> list:
+    """The sparse vector v as a list of the given width."""
+    dense = [0] * width
+    for j, x in v.items():
+        dense[j] = x
+    return dense
+
+
 def kernel_basis(M) -> list[tuple]:
     """Basis of the rational null space of M, one vector per free column
     of the reduced row echelon form."""
     if not isinstance(M, Matrix):
         M = matrix(M)
-    ncols = M.ncols
-    pivots = _eliminate(M)
-    free = {f: [1 if j == f else 0 for j in range(ncols)]
-            for f in range(ncols) if f not in pivots}
-    for c, row in pivots.items():
-        for j, x in row.items():
-            if j != c:
-                free[j][c] = _exact(Fraction(-x, row[c]))
-    return [tuple(v) for v in free.values()]
+    return [tuple(_dense(v, M.ncols)) for v in _kernel(M)]
 
 
 def integer_kernel_basis(M) -> list[tuple]:

@@ -270,38 +270,51 @@ def _minors(columns: Sequence[Sequence[int]], p: int) -> dict:
 
 
 def _signed_gram(terms: Sequence[tuple], degree: int, count: int) -> list:
-    """The sum of c * form over (c, form, vectors) terms, each with ``count``
-    exact vectors and a form of the given degree, on every degree-subset of
-    the vector indices in lexicographic order; ints where integral.
+    """The sum of c * form over (c, form, vectors) terms, on every
+    degree-subset of the vector indices range(count) in lexicographic order;
+    ints where integral.
+
+    A term's ``vectors`` is sparse: a ``{index: vector}`` dict whose vectors
+    are exact, of length form.dim, and a vector it leaves out is zero.
+    Callers give only the non-zero vectors, since a subset holding a zero
+    vector adds nothing; one given all the same changes no value.  A vector
+    of another length raises ``ValueError``.
 
     Vector index j is scaled to integers once, by the lcm s_j of its
-    denominators across all terms, so the value on a subset S is an integer
-    over the product of s_j for j in S, divided only when emitted.  Each
-    term runs ``_minors`` on its non-zero vectors alone, since a subset
-    holding a zero vector adds nothing, and its top level, contracted with
-    c * form, adds to the subsets it reaches.
+    denominators across the terms that hold it, so the value on a subset S
+    is an integer over the product of s_j for j in S, divided only when
+    emitted.  Each term runs ``_minors`` on its own vectors, and its top
+    level, contracted with c * form, adds to the subsets it reaches.
     """
+    scales: dict[int, int] = {}  # s_j, for the indices whose vectors hold a Fraction
     for _, form, vecs in terms:
-        if len(vecs) != count or any(len(v) != form.dim for v in vecs):
-            raise ValueError("vector dimension mismatch")
-    scales = [lcm(*(x.denominator for _, _, vecs in terms for x in vecs[j])) for j in range(count)]
+        for j, v in vecs.items():
+            if len(v) != form.dim:
+                raise ValueError("vector dimension mismatch")
+            for x in v:
+                if type(x) is not int:
+                    scales[j] = lcm(scales.get(j, 1), x.denominator)
     coefficients = {}  # per form: coefficient by row subset
     total = dict.fromkeys(p_subsets(count, degree), 0)
     for c, form, vecs in terms:
         if form not in coefficients:
             coefficients[form] = dict(zip(p_subsets(form.dim, degree), form.coefficients))
         w = coefficients[form]
-        support = [j for j, v in enumerate(vecs) if any(v)]
-        columns = [[x.numerator * (scales[j] // x.denominator) for x in vecs[j]] for j in support]
+        support = sorted(vecs)
+        columns = [
+            [x.numerator * (scales[j] // x.denominator) for x in vecs[j]] if j in scales else vecs[j]
+            for j in support
+        ]
         for (T, S), m in _minors(columns, degree).items():
-            total[tuple(support[k] for k in S)] += c * w[T] * m
-    if all(s == 1 for s in scales):
+            total[tuple(map(support.__getitem__, S))] += c * w[T] * m
+    if not scales:
         return list(total.values())
     values = []
     for S, v in total.items():
-        d = prod(scales[j] for j in S)
-        q, r = divmod(v, d)
-        values.append(Fraction(v, d) if r else q)
+        if v:
+            q, r = divmod(v, d := prod(scales.get(j, 1) for j in S))
+            v = Fraction(v, d) if r else q
+        values.append(v)
     return values
 
 
@@ -329,7 +342,7 @@ class TropicalForm:
     def gram(self, vectors: Sequence[Sequence]) -> list:
         """The value on every degree-subset of the vectors, in lexicographic order."""
         vecs = [vector(v) for v in vectors]
-        return _signed_gram([(1, self, vecs)], self.degree, len(vecs))
+        return _signed_gram([(1, self, dict(enumerate(vecs)))], self.degree, len(vecs))
 
     def evaluate(self, vectors: Sequence[Sequence]) -> Fraction:
         """The value on degree-many tangent vectors."""
@@ -343,7 +356,8 @@ class TropicalForm:
         return TropicalForm(self.dim, self.degree, tuple(self.gram(columns)))
 
     def is_invariant(self, M: AffineQuotientManifold) -> bool:
-        return all(self.pullback(g.linear) == self for g in M.generators)
+        identity = _identity(self.dim)  # a translation fixes every form
+        return all(self.pullback(g.linear) == self for g in M.generators if g.linear != identity)
 
 
 def invariant_forms(M: AffineQuotientManifold, p: int) -> list[TropicalForm]:

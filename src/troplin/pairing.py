@@ -19,8 +19,9 @@ from . import linalg
 from .curve import LocallyConstantForm, satisfies_vertex_equations
 from .embedded import (
     ParametrizedTropicalCurve,
+    _deformation_kernel,
+    _offsets,
     _satisfies,
-    deformation_basis,
     deformation_constraints,
     horizontal_ends,
     require_valid_parametrized,
@@ -95,7 +96,7 @@ def end_evaluation(
     if len(deformations) != omega_tilde.degree:
         raise ValueError(f"expected {omega_tilde.degree} deformations")
     terms = [
-        (sign * weight, omega_tilde, [vector(D[tail][:-1]) for D in deformations])
+        (sign * weight, omega_tilde, {j: vector(D[tail][:-1]) for j, D in enumerate(deformations)})
         for sign, weight, tail in ends
     ]
     return Fraction(_signed_gram(terms, omega_tilde.degree, len(deformations))[0])
@@ -132,11 +133,12 @@ def isotropy_check(
             "vacuous", f"no nonzero invariant {degree}-forms on the base (rank 0)"
         )
         return report
-    basis = deformation_basis(h)
-    tuples = p_subsets(len(basis), degree)
-    parts = [(sign * weight, [D[tail][:-1] for D in basis]) for sign, weight, tail in ends]
+    kernel = _deformation_kernel(h)
+    at = _end_vectors(h, ends, kernel)
+    tuples = p_subsets(len(kernel), degree)
     for fi, form in enumerate(forms):
-        gram = _signed_gram([(c, form, vecs) for c, vecs in parts], degree, len(basis))
+        terms = [(sign * weight, form, at[tail]) for sign, weight, tail in ends]
+        gram = _signed_gram(terms, degree, len(kernel))
         report.add(
             f"form {fi}: all {degree}-tuples vanish",
             not any(gram),
@@ -144,6 +146,24 @@ def isotropy_check(
             or "no tuples (deformation space too small)",
         )
     return report
+
+
+def _end_vectors(
+    h: ParametrizedTropicalCurve, ends: Sequence[tuple[int, int, str]], kernel: Sequence[dict]
+) -> dict[str, dict[int, list]]:
+    """{end tail: {j: base projection of kernel vector j at that vertex}}, for
+    the vectors non-zero there, read off the sparse kernel through one index
+    from each base column of an end vertex to its (tail, coordinate)."""
+    b = h.manifold.dim - 1
+    offsets = _offsets(h)
+    index = {offsets[tail] + k: (tail, k) for _, _, tail in ends for k in range(b)}
+    at: dict[str, dict[int, list]] = {tail: {} for _, _, tail in ends}
+    for j, v in enumerate(kernel):
+        for column, x in v.items():
+            if column in index:
+                tail, k = index[column]
+                at[tail].setdefault(j, [0] * b)[k] = x
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +204,20 @@ class GradedSpace:
 
     def gram(self, vectors: Sequence[Sequence]) -> list:
         """The signed block form on every degree-subset of the vectors."""
-        vecs = [vector(v) for v in vectors]
+        return self._gram([vector(v) for v in vectors])
+
+    def _gram(self, vecs: Sequence[tuple]) -> list:
+        """``gram`` on exact vectors: each non-zero entry goes to its block
+        through one index from column to (block, coordinate)."""
         _require_length(vecs, self.total_dimension)
-        terms, offset = [], 0
-        for b in self.blocks:
-            terms.append((b.sign, b.form, [v[offset : offset + b.dimension] for v in vecs]))
-            offset += b.dimension
+        index = [(i, k) for i, b in enumerate(self.blocks) for k in range(b.dimension)]
+        parts: list[dict[int, list]] = [{} for _ in self.blocks]
+        for j, v in enumerate(vecs):
+            for column, x in enumerate(v):
+                if x:
+                    i, k = index[column]
+                    parts[i].setdefault(j, [0] * self.blocks[i].dimension)[k] = x
+        terms = [(b.sign, b.form, part) for b, part in zip(self.blocks, parts)]
         return _signed_gram(terms, self.degree, len(vecs))
 
     def evaluate(self, vectors: Sequence[Sequence]) -> Fraction:
@@ -221,8 +249,8 @@ def roitman_bound_check(space: GradedSpace, W: Sequence[Sequence]) -> RoitmanRes
     of its values on tuples of W, which alternation reduces to subsets.
     """
     rows = [vector(w) for w in W]
-    isotropic = not any(space.gram(rows))
-    dim_w = linalg.rank(rows)
+    isotropic = not any(space._gram(rows))
+    dim_w = linalg.rank(linalg.Matrix(rows, space.total_dimension))
     bound = space.total_dimension - len(space.blocks)
     return RoitmanResult(isotropic, dim_w, bound, isotropic and dim_w <= bound)
 
@@ -240,7 +268,10 @@ def infinity_restriction(
     require_invariant(base, omega_tilde)
     copies = [(sign, tail) for sign, weight, tail in ends for _ in range(weight)]
     space = GradedSpace(tuple(Block(base.dim, sign, omega_tilde) for sign, _ in copies))
+    kernel = _deformation_kernel(h)
+    at = _end_vectors(h, ends, kernel)
+    zero = [0] * base.dim
     vectors = [
-        vector(x for _, tail in copies for x in D[tail][:-1]) for D in deformation_basis(h)
+        tuple(x for _, tail in copies for x in at[tail].get(j, zero)) for j in range(len(kernel))
     ]
     return space, vectors

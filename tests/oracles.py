@@ -3,13 +3,14 @@
 Everything here is deliberately written from scratch on top of plain
 Python Fractions so that a library bug cannot hide behind shared code:
 row reduction for ranks, nullities and kernels, Leibniz determinants and
-the tuple-by-tuple evaluation of forms, a dense Hermite normal form that
-keeps its transformation matrix beside it, lattice membership by
-determinantal divisors, minor-based deformation constraints, the position
-check, brute-force orbit enumeration on the Klein deck group, deck groups
-enumerated in normal form for membership, an arc-by-arc walk for
-functions on a circle, the all-pairs, elimination-based euclidean
-embeddedness check, and 0-cycles built point by point in Fractions.
+the tuple-by-tuple evaluation of forms and of the end pairing's report, a
+dense Hermite normal form that keeps its transformation matrix beside it,
+lattice membership by determinantal divisors, minor-based deformation
+constraints, the position check, brute-force orbit enumeration on the
+Klein deck group, deck groups enumerated in normal form for membership,
+an arc-by-arc walk for functions on a circle, the all-pairs,
+elimination-based euclidean embeddedness check, and 0-cycles built point
+by point in Fractions.
 """
 
 from fractions import Fraction
@@ -111,6 +112,24 @@ def gram_oracle(dim, degree, coefficients, vectors):
     """The form on every p-tuple of the vectors, one tuple at a time."""
     return [form_value_oracle(dim, degree, coefficients, list(tup))
             for tup in combinations(vectors, degree)]
+
+
+def isotropy_details_oracle(h, dim, degree, coefficients, basis):
+    """The repr of ``isotropy_check(h, form).checks`` for one form on the
+    dim-dimensional base, from a deformation basis of vertex-vector dicts
+    (the public ``deformation_basis(h)``): every end adds sign * weight
+    times the oracle Gram of the base parts of the basis at its tail."""
+    total = [Fraction(0)] * comb(len(basis), degree)
+    for e in h.abstract.infinite_edges():
+        d = h.data(e.id)
+        values = gram_oracle(dim, degree, coefficients, [D[e.tail][:-1] for D in basis])
+        total = [a + d.direction[-1] * d.weight * v for a, v in zip(total, values)]
+    tuples = combinations(range(len(basis)), degree)
+    detail = ("; ".join(f"D{tup}={value}" for tup, value in zip(tuples, total))
+              or "no tuples (deformation space too small)")
+    status = "fail" if any(total) else "pass"
+    name = f"form 0: all {degree}-tuples vanish"
+    return f"[Check(name={name!r}, status={status!r}, detail={detail!r})]"
 
 
 def pullback_oracle(dim, degree, coefficients, A):

@@ -11,6 +11,7 @@ from conftest import CYCLE_MANIFOLDS, CYCLE_PHASES, manifold_with_cycles
 from oracles import circle_function_oracle, klein_fiber_circumference_oracle
 
 import troplin as t
+from troplin import klein
 from troplin.errors import NonZeroDegree, NotPrincipal, OnSection, SpecialFiber
 from troplin.manifold import translation_deck
 
@@ -365,6 +366,27 @@ class TestWitnesses:
             klein23, [(t.section_point(klein23, Fraction(1, 2)), 2), (p, -2)]
         )
         assert boundary == expected
+
+    def test_each_call_builds_one_reducer(self, monkeypatch):
+        """klein builds a reducer, one run of ``manifold._integer_reduction``,
+        only through ``reduce_point`` and ``point_reducer``.  A witness builds
+        one for its point and leaves every other point to ``zero_cycle``; a
+        position search builds one for all its candidates."""
+        builds = []
+        for name in ("reduce_point", "point_reducer"):
+            original = getattr(klein, name)
+            monkeypatch.setattr(klein, name, lambda M, *x, original=original:
+                                builds.append(M) or original(M, *x))
+        K = t.make_klein(2, 3)
+        for witness in (t.witness_two_torsion, t.witness_fiber_relation):
+            builds.clear()
+            witness(K, (Fraction(5, 2), -1))
+            assert builds == [K]
+        T = t.make_torus([(4, 0), (0, 4)])
+        circle = t.circle_embedding(T, (0, 0), (3, 1), 4, translation_deck((-12, -4)))
+        builds.clear()
+        assert t.fiber_position(circle, (Fraction(11, 4), Fraction(11, 12))) == Fraction(11, 12)
+        assert builds == [T]
 
     @given(
         st.fractions(min_value=0, max_value=2, max_denominator=5).filter(lambda q: q < 2),

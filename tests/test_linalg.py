@@ -306,8 +306,17 @@ class TestEliminationCore:
     @given(sparse_matrices())
     @settings(max_examples=300, deadline=None)
     def test_kernel_is_the_oracle_rref_basis(self, case):
+        """kernel_basis is the oracle's RREF basis and the dense view of the
+        sparse _kernel, which holds only exact non-zero entries, ints where
+        integral, whether the rows come dense or as dicts."""
         rows, ncols = case
-        assert kernel_basis(Matrix(rows, ncols)) == kernel_from_oracle(rows, ncols)
+        basis = kernel_basis(Matrix(rows, ncols))
+        assert basis == kernel_from_oracle(rows, ncols)
+        for M in (Matrix(rows, ncols), Matrix([dict(enumerate(r)) for r in rows], ncols)):
+            sparse = linalg._kernel(M)
+            assert [tuple(v.get(j, 0) for j in range(ncols)) for v in sparse] == basis
+            assert all(x and type(x) is (int if x.denominator == 1 else Fraction)
+                       for v in sparse for x in v.values())
 
     @given(square_matrices)
     @settings(max_examples=300, deadline=None)

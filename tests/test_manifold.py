@@ -283,9 +283,42 @@ class TestFormsAgainstTupleOracle:
         expected = [f.coefficients for f in t.invariant_forms(general_manifold(n, gens), p)]
         assert [f.coefficients for f in t.invariant_forms(general_manifold(n, more), p)] == expected
 
-    def test_wrong_vector_length(self):
+    @pytest.mark.parametrize("vector", [(1, 0, 0), (0, 0, 0), (0,)])
+    def test_wrong_vector_length(self, vector):
         with pytest.raises(ValueError):
-            t.TropicalForm(2, 1, (1, 0)).gram([(1, 0, 0)])
+            t.TropicalForm(2, 1, (1, 0)).gram([(1, 0), vector])
+
+    @given(st.sampled_from([
+        t.make_torus([(4, 0), (0, 4)]), t.make_torus([(2, 1), (-1, Fraction(3, 2))]),
+        t.make_klein(2, 3), t.product_with_line(t.make_klein(2, 3)),
+        t.product_with_line(t.make_torus([(1, 0), (0, 1)])),
+        t.make_torus([(1, 0, 0), (0, 2, 0), (0, 0, 3)]),
+    ]).flatmap(lambda M: st.tuples(st.just(M), st.integers(0, M.dim))).flatmap(
+        lambda case: st.tuples(st.just(case[0]), st.just(case[1]), st.lists(
+            st.integers(-2, 2), min_size=comb(case[0].dim, case[1]),
+            max_size=comb(case[0].dim, case[1])))))
+    @settings(max_examples=200, deadline=None)
+    def test_is_invariant_matches_the_pullback_oracle(self, case):
+        """Skipping the translations leaves the verdict of every generator's
+        pullback as it was, on tori, Klein bottles and their products."""
+        M, p, coefficients = case
+        form = t.TropicalForm(M.dim, p, tuple(coefficients))
+        expected = all(pullback_oracle(M.dim, p, coefficients, g.linear) == coefficients
+                       for g in M.generators)
+        assert form.is_invariant(M) == expected
+
+    def test_translations_pull_nothing_back(self, monkeypatch):
+        """A torus and its product with a line run no pullback; a Klein
+        bottle runs one, for the reflecting generator b."""
+        pulled, pullback = [], t.TropicalForm.pullback
+        monkeypatch.setattr(t.TropicalForm, "pullback",
+                            lambda form, A: pulled.append(A) or pullback(form, A))
+        T = t.make_torus([(4, 0), (0, 4)])
+        assert t.TropicalForm(2, 2, (1,)).is_invariant(T)
+        assert t.TropicalForm(3, 2, (1, 2, 3)).is_invariant(t.product_with_line(T))
+        assert pulled == []
+        assert t.TropicalForm(2, 1, (1, 0)).is_invariant(t.make_klein(2, 3))
+        assert pulled == [((1, 0), (0, -1))]
 
 
 @st.composite
@@ -321,8 +354,10 @@ class TestSignedGram:
     @given(gram_terms())
     @settings(max_examples=300, deadline=None)
     def test_matches_the_summed_tuple_oracle(self, case):
-        """The integer kernel equals c times the Leibniz evaluation of each
-        term's form, summed over the terms, on every subset of indices."""
+        """The integer kernel, given each term's non-zero vectors by index,
+        equals c times the Leibniz evaluation of each term's form, summed
+        over the terms, on every subset of indices; giving the zero vectors
+        as well changes nothing."""
         degree, count, terms = case
         expected = [
             sum((c * form_value_oracle(form.dim, degree, form.coefficients,
@@ -330,9 +365,19 @@ class TestSignedGram:
                  for c, form, vectors in terms), Fraction(0))
             for S in combinations(range(count), degree)
         ]
-        values = _signed_gram(terms, degree, count)
+        sparse = [(c, form, {j: v for j, v in enumerate(vectors) if any(v)})
+                  for c, form, vectors in terms]
+        values = _signed_gram(sparse, degree, count)
         assert values == expected
         assert exact_and_normalized(values)
+        full = [(c, form, dict(enumerate(vectors))) for c, form, vectors in terms]
+        assert _signed_gram(full, degree, count) == values
+
+    @pytest.mark.parametrize("vector", [(1, 2, 3), (0, 0, 0), (Fraction(1, 2),)])
+    def test_a_wrong_length_vector_raises(self, vector):
+        form = t.TropicalForm(2, 2, (1,))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            _signed_gram([(1, form, {0: (1, 0)}), (-1, form, {1: vector})], 2, 2)
 
 
 class CountedEntry:

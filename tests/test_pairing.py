@@ -12,11 +12,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_t3_witness, random_t2_horizontal_curve
-from oracles import form_value_oracle
+from conftest import (
+    PRIMITIVE_DIRECTIONS, build_t3_witness, circle_modification, random_t2_horizontal_curve,
+    t2_modification,
+)
+from oracles import form_value_oracle, isotropy_details_oracle
 
 import troplin as t
-from troplin import embedded, io, pairing
+from troplin import embedded, io, linalg, pairing
 from troplin.curve import satisfies_vertex_equations
 from troplin.errors import (
     DimensionMismatch, InvalidCurve, NotADeformation, NotHorizontal, WrongAmbient,
@@ -378,11 +381,67 @@ class TestRoitman:
             {v: tuple(rng.randint(-3, 3) for _ in range(dim + 1)) for v in h.abstract.vertices}
             for _ in range(rng.randint(degree, degree + 2))
         ]
-        with mock.patch.object(pairing, "deformation_basis", lambda h: basis):
+        offsets = embedded._offsets(h)
+        kernel = [{offsets[v] + k: x for v, vec in D.items() for k, x in enumerate(vec) if x}
+                  for D in basis]
+        with mock.patch.object(pairing, "_deformation_kernel", lambda h: kernel):
             (check,) = t.isotropy_check(h, form).checks
             space, vectors = t.infinity_restriction(h, form)
         values = [Fraction(part.split("=")[1]) for part in check.detail.split("; ")]
         assert values == space.gram(vectors)
+
+
+@st.composite
+def horizontal_curves_and_forms(draw):
+    """(h, form): a fuzzed T^2 curve, a T^2 circle modification, the T^3
+    witness or a K x R circle modification, with a non-zero form of degree at
+    least 2 on the base; Klein bases have none, so their form is dx."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    kind = draw(st.sampled_from(["fuzzed", "t2", "t3", "klein"]))
+    if kind == "fuzzed":
+        h = random_t2_horizontal_curve(rng)
+    elif kind == "t2":
+        h = t2_modification(rng, draw(st.sampled_from([4, 8, 12])),
+                            draw(st.sampled_from(PRIMITIVE_DIRECTIONS)))
+    elif kind == "t3":
+        h = T3_WITNESS
+    else:
+        K = draw(st.sampled_from([t.make_klein(2, 3),
+                                  t.make_klein(Fraction(3, 2), Fraction(5, 3))]))
+        circle = t.fiber_circle(K, draw(st.sampled_from([1, 2])),
+                                Fraction(draw(st.integers(0, 11)), 4))
+        h = circle_modification(rng, circle, draw(st.sampled_from([4, 8])))
+        return h, t.TropicalForm(2, 1, (1, 0))
+    dim = h.manifold.dim - 1
+    degree = draw(st.integers(2, dim))
+    size = comb(dim, degree)
+    coefficients = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size)
+                        .filter(any))
+    return h, t.TropicalForm(dim, degree, tuple(coefficients))
+
+
+class TestSparsePath:
+    """The pairing reads the sparse deformation kernel; its answers are the
+    ones the public dense basis gives."""
+
+    @given(horizontal_curves_and_forms())
+    @settings(max_examples=60, deadline=None)
+    def test_reports_and_end_vectors_match_the_dense_basis(self, case):
+        h, form = case
+        basis = t.deformation_basis(h)
+        if form.degree >= 2:
+            expected = isotropy_details_oracle(h, form.dim, form.degree, form.coefficients, basis)
+            assert repr(t.isotropy_check(h, form).checks) == expected
+        ends = [(e.tail, h.data(e.id).weight) for e in h.abstract.infinite_edges()]
+        if not ends:
+            with pytest.raises(t.InputError):
+                t.infinity_restriction(h, form)
+            return
+        _, vectors = t.infinity_restriction(h, form)
+        assert vectors == [
+            tuple(x for tail, weight in ends for _ in range(weight) for x in D[tail][:-1])
+            for D in basis
+        ]
 
 
 class TestOnePassPerCall:
@@ -404,13 +463,20 @@ class TestOnePassPerCall:
                     monkeypatch.setattr(module, name, counting)
         return calls
 
-    def test_isotropy_check(self, calls):
+    def test_isotropy_check(self, calls, monkeypatch):
+        """The pairing reads the sparse kernel: no dense basis is built."""
+        dense = []
+        for module, name in ((embedded, "deformation_basis"), (pairing, "deformation_basis"),
+                             (linalg, "kernel_basis")):
+            monkeypatch.setattr(module, name, lambda *args, name=name: dense.append(name),
+                                raising=False)
         h = io.parse_parametrized_curve(io.load_json(str(t.data_path("t2-cycle.json"))))
         dxdy = io.parse_form(io.load_json(str(t.data_path("dxdy.json"))))
         assert t.isotropy_check(h, dxdy).passed
         assert calls == {"validate_parametrized": 1, "deformation_constraints": 1}
         t.infinity_restriction(h, dxdy)
         assert calls == {"validate_parametrized": 1, "deformation_constraints": 2}
+        assert dense == []
 
     def test_phi_contract_with_two_deformations(self, calls):
         T = t.make_torus([(4, 0), (0, 4)])
