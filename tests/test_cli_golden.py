@@ -1,9 +1,11 @@
-"""Golden command-line output: stdout and exit code of every subcommand.
+"""Golden command-line output: stdout, stderr and exit code of every subcommand.
 
 Each case runs ``troplin`` in-process, in text and ``--json`` mode, in a
 directory that holds the bundled data files plus the documents written by
-``write_inputs`` (manifolds, two circle modifications, Roitman instances),
-so every path in the output is a bare file name.  The recorded outputs are
+``write_inputs`` (manifolds, two circle modifications, Roitman instances, a
+curve that fails validation and a second Klein 0-cycle), so every path in
+the output is a bare file name.  Failing checks, failed preconditions and
+usage errors are cases too.  The recorded outputs are
 in ``cli_golden.json`` next to this file.  Regenerate them only when an
 output change is intended:
 
@@ -77,6 +79,10 @@ def manifolds():
 def write_inputs(workdir: Path) -> None:
     for src in DATA.glob("*.json"):
         shutil.copy(src, workdir / src.name)
+    broken = io.load_json(str(DATA / "t2-cycle.json"))
+    broken["positions"]["v1"] = ["2", "0", "3"]  # arc0 no longer reaches v1
+    io.dump_json(broken, str(workdir / "t2-broken.json"))
+    io.dump_json([{"point": ["1/3", "0"], "mult": 1}], str(workdir / "z-other.json"))
     for name, M in manifolds().items():
         if name != "klein.json":
             io.dump_json(io.manifold_json(M), str(workdir / name))
@@ -89,8 +95,9 @@ def write_inputs(workdir: Path) -> None:
 
 def commands() -> list[list[str]]:
     curves = ["fig1a.json", "t2-cycle.json", "t2-mod.json", "t3-mod.json"]
-    out = [["validate", c] for c in curves]
+    out = [["validate", c] for c in curves + ["t2-broken.json"]]
     out.append(["validate", "fig1a.json", "t2-cycle.json"])
+    out.append(["validate", "fig1a.json", "t2-broken.json", "t2-cycle.json"])
     out += [["homology", c] for c in curves]
     for name, M in manifolds().items():
         out += [["forms", name, "-p", str(p)] for p in range(M.dim + 1)]
@@ -102,16 +109,25 @@ def commands() -> list[list[str]]:
         ["isotropy", "t2-mod.json", "--form", "dxdy.json"],
         ["isotropy", "t3-mod.json", "-p", "2"],
         ["isotropy", "t3-mod.json", "-p", "3"],
+        ["isotropy", "t2-broken.json"],
     ]
     out += [["roitman", name] for name in ROITMAN]
     out += [["albanese", "klein.json", z] for z in ("zp.json", "ziotap.json")]
     out += [
         ["chow-equiv", "klein.json", "zp.json", "ziotap.json"],
         ["chow-equiv", "klein.json", "zp.json", "zp.json"],
+        ["chow-equiv", "klein.json", "zp.json", "z-other.json"],
     ]
     for relation in ("two-torsion", "fiber"):
         out += [["witness", "klein.json", "--relation", relation, "--point", point]
                 for point in ("1/2,1", "3/2,5/4", "1,0")]
+    out.append(["witness", "klein.json", "--relation", "fiber", "--point", "1/2,1",
+                "--output", "witness.json"])
+    out += [  # usage errors
+        ["validate", "missing.json"],
+        ["forms", "klein.json"],
+        ["chow-equiv", "m-torus2.json", "zp.json", "zp.json"],
+    ]
     return [mode + argv for argv in out for mode in ([], ["--json"])]
 
 
@@ -119,7 +135,7 @@ def run(argv: list[str]) -> dict:
     stdout, stderr = textio.StringIO(), textio.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.run(argv)
-    return {"argv": argv, "exit": code, "stdout": stdout.getvalue()}
+    return {"argv": argv, "exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
 
 
 @pytest.fixture(scope="module")
@@ -140,11 +156,13 @@ def test_golden_file_covers_every_command():
 def test_cli_output_is_unchanged(case, workdir, monkeypatch):
     monkeypatch.chdir(workdir)
     monkeypatch.setenv("TROPLIN_COLOR", "never")
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
     assert run(case["argv"]) == case
 
 
 if __name__ == "__main__":
     os.environ["TROPLIN_COLOR"] = "never"
+    os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp:
         write_inputs(Path(tmp))
         os.chdir(tmp)
