@@ -41,34 +41,25 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _use_color(stream) -> bool:
-    mode = os.environ.get("TROPLIN_COLOR", "auto")
-    if mode == "always":
-        return True
-    if mode == "never":
-        return False
-    return hasattr(stream, "isatty") and stream.isatty()
+def _paint(text: str, ok: bool) -> str:
+    """Green or red text for stdout, as TROPLIN_COLOR says; auto colors a terminal."""
+    mode, out = os.environ.get("TROPLIN_COLOR", "auto"), sys.stdout
+    if mode == "always" or mode != "never" and hasattr(out, "isatty") and out.isatty():
+        return f"\x1b[{32 if ok else 31}m{text}\x1b[0m"
+    return text
 
 
-def _paint(text: str, ok: bool, stream) -> str:
-    if not _use_color(stream):
-        return text
-    code = "32" if ok else "31"
-    return f"\x1b[{code}m{text}\x1b[0m"
+def _verdict(ok: bool) -> int:
+    return EXIT_OK if ok else EXIT_MATH
 
 
-def _print_report(report: Report, as_json: bool) -> None:
-    out = sys.stdout
-    if as_json:
-        print(json.dumps(report.to_json(), indent=2))
-        return
-    print(f"{report.subject}: {_paint(report.status, report.passed, out)}")
+def _report(report: Report):
+    """A report's JSON object and text lines; the text colors each status."""
+    lines = [f"{report.subject}: {_paint(report.status, report.passed)}"]
     for check in report.checks:
-        ok = check.status != FAIL
-        line = f"  [{_paint(check.status, ok, out)}] {check.name}"
-        if check.detail:
-            line += f" -- {check.detail}"
-        print(line)
+        line = f"  [{_paint(check.status, check.status != FAIL)}] {check.name}"
+        lines.append(f"{line} -- {check.detail}" if check.detail else line)
+    return report.to_json(), lines
 
 
 def _load_curve(path: str):
@@ -85,9 +76,14 @@ def _load_parametrized(path: str):
     return curve
 
 
-def _cmd_validate(args) -> int:
+# Each handler returns its exit code and the documents it prints, each as
+# (JSON object, text lines); ``run`` prints them once the handler is done,
+# and prints a document whose JSON object is None as text in both modes.
+
+
+def _cmd_validate(args):
     reports = []
-    for path in args.files:  # every file is read before any report is printed
+    for path in args.files:
         curve = _load_curve(path)
         if hasattr(curve, "manifold"):
             report = validate_parametrized(curve)
@@ -95,145 +91,91 @@ def _cmd_validate(args) -> int:
             report = validate_abstract(curve)
         report.subject = path
         reports.append(report)
-    code = EXIT_OK
-    for report in reports:
-        _print_report(report, args.json)
-        if not report.passed:
-            code = EXIT_MATH
-    return code
+    return _verdict(all(r.passed for r in reports)), [_report(r) for r in reports]
 
 
-def _cmd_homology(args) -> int:
+def _cmd_homology(args):
     curve = _load_curve(args.file)
     abstract = curve.abstract if hasattr(curve, "abstract") else curve
-    cycles = relative_h1_basis(abstract)
+    cycles = [io.vector_json(v) for v in relative_h1_basis(abstract)]
     forms = locally_constant_forms(abstract)
-    if args.json:
-        print(json.dumps({
-            "relative_h1_dimension": len(cycles),
-            "locally_constant_forms_dimension": len(forms),
-            "cycle_basis": [io.vector_json(v) for v in cycles],
-        }, indent=2))
-    else:
-        print(f"relative H1 dimension: {len(cycles)}")
-        print(f"locally constant 1-forms dimension: {len(forms)}")
-        for v in cycles:
-            print(f"  cycle {io.vector_json(v)}")
-    return EXIT_OK if len(cycles) == len(forms) else EXIT_MATH
+    doc = {"relative_h1_dimension": len(cycles), "locally_constant_forms_dimension": len(forms),
+           "cycle_basis": cycles}
+    lines = [f"relative H1 dimension: {len(cycles)}",
+             f"locally constant 1-forms dimension: {len(forms)}"]
+    lines += [f"  cycle {v}" for v in cycles]
+    return _verdict(len(cycles) == len(forms)), [(doc, lines)]
 
 
-def _cmd_forms(args) -> int:
+def _cmd_forms(args):
     manifold = io.parse_manifold(io.load_json(args.file))
-    basis = invariant_forms(manifold, args.degree)
-    if args.json:
-        print(json.dumps({"rank": len(basis), "basis": [io.form_json(f) for f in basis]},
-                         indent=2))
-    else:
-        print(f"invariant {args.degree}-forms: rank {len(basis)}")
-        for f in basis:
-            print(f"  coefficients {list(f.coefficients)}")
-    return EXIT_OK
+    basis = [io.form_json(f) for f in invariant_forms(manifold, args.degree)]
+    lines = [f"invariant {args.degree}-forms: rank {len(basis)}"]
+    lines += [f"  coefficients {f['coefficients']}" for f in basis]
+    return EXIT_OK, [({"rank": len(basis), "basis": basis}, lines)]
 
 
-def _cmd_deform(args) -> int:
+def _cmd_deform(args):
     curve = _load_parametrized(args.file)
-    basis = deformation_basis(curve)
-    if args.json:
-        print(json.dumps({
-            "dimension": len(basis),
-            "basis": [{v: io.vector_json(vec) for v, vec in D.items()} for D in basis],
-        }, indent=2))
-    else:
-        print(f"deformation space dimension: {len(basis)}")
-        for i, D in enumerate(basis):
-            parts = ", ".join(f"{v}->{io.vector_json(vec)}" for v, vec in sorted(D.items()))
-            print(f"  D{i}: {parts}")
-    return EXIT_OK
+    basis = [{v: io.vector_json(vec) for v, vec in D.items()} for D in deformation_basis(curve)]
+    lines = [f"deformation space dimension: {len(basis)}"]
+    lines += [f"  D{i}: " + ", ".join(f"{v}->{vec}" for v, vec in sorted(D.items()))
+              for i, D in enumerate(basis)]
+    return EXIT_OK, [({"dimension": len(basis), "basis": basis}, lines)]
 
 
-def _cmd_ev(args) -> int:
+def _cmd_ev(args):
     curve = _load_parametrized(args.file)
     minus, plus = evaluate_at_infinity(curve)
-    boundary = boundary_zero_cycle(curve)
-    if args.json:
-        print(json.dumps({
-            "minus": io.cycle_json(minus),
-            "plus": io.cycle_json(plus),
-            "boundary": io.cycle_json(boundary),
-        }, indent=2))
-    else:
-        print(f"minus ends: {io.cycle_json(minus)}")
-        print(f"plus ends:  {io.cycle_json(plus)}")
-        print(f"boundary 0-cycle: {io.cycle_json(boundary)}")
-    return EXIT_OK
+    doc = {"minus": io.cycle_json(minus), "plus": io.cycle_json(plus),
+           "boundary": io.cycle_json(boundary_zero_cycle(curve))}
+    lines = [f"minus ends: {doc['minus']}", f"plus ends:  {doc['plus']}",
+             f"boundary 0-cycle: {doc['boundary']}"]
+    return EXIT_OK, [(doc, lines)]
 
 
-def _cmd_isotropy(args) -> int:
+def _cmd_isotropy(args):
     curve = _load_parametrized(args.file)
     form = io.parse_form(io.load_json(args.form)) if args.form else None
     report = isotropy_check(curve, form, degree=args.degree)
-    _print_report(report, args.json)
-    return EXIT_OK if report.passed else EXIT_MATH
+    return _verdict(report.passed), [_report(report)]
 
 
-def _cmd_roitman(args) -> int:
+def _cmd_roitman(args):
     space, vectors = io.parse_graded_space(io.load_json(args.file))
     result = roitman_bound_check(space, vectors)
-    payload = {
-        "isotropic": result.isotropic,
-        "dim_W": result.dim_W,
-        "bound": result.bound,
-        "satisfied": result.satisfied,
-    }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(
-            f"isotropic: {result.isotropic}; dim W = {result.dim_W} "
-            f"<= bound {result.bound}: {result.satisfied}"
-        )
-    return EXIT_OK if result.satisfied else EXIT_MATH
+    doc = {"isotropic": result.isotropic, "dim_W": result.dim_W, "bound": result.bound,
+           "satisfied": result.satisfied}
+    line = (f"isotropic: {result.isotropic}; dim W = {result.dim_W} "
+            f"<= bound {result.bound}: {result.satisfied}")
+    return _verdict(result.satisfied), [(doc, [line])]
 
 
-def _cmd_albanese(args) -> int:
+def _cmd_albanese(args):
     manifold = io.parse_manifold(io.load_json(args.manifold))
     cycle = io.parse_cycle(io.load_json(args.cycle), manifold)
     degree, klass = albanese_class(manifold, cycle)
-    x0 = manifold.klein_params[0]
-    if args.json:
-        print(json.dumps({"degree": degree, "class": io.frac_str(klass),
-                          "modulus": io.frac_str(x0)}, indent=2))
-    else:
-        print(f"degree {degree}, albanese class {io.frac_str(klass)} (mod {io.frac_str(x0)})")
-    return EXIT_OK
+    doc = {"degree": degree, "class": io.frac_str(klass),
+           "modulus": io.frac_str(manifold.klein_params[0])}
+    line = f"degree {degree}, albanese class {doc['class']} (mod {doc['modulus']})"
+    return EXIT_OK, [(doc, [line])]
 
 
-def _cmd_chow_equiv(args) -> int:
+def _cmd_chow_equiv(args):
     manifold = io.parse_manifold(io.load_json(args.manifold))
     z1 = io.parse_cycle(io.load_json(args.z1), manifold)
     z2 = io.parse_cycle(io.load_json(args.z2), manifold)
     equivalent, (d1, c1), (d2, c2) = chow_comparison(manifold, z1, z2)
-    x0 = manifold.klein_params[0]
-    if args.json:
-        print(json.dumps({
-            "equivalent": equivalent,
-            "degrees": [d1, d2],
-            "classes": [io.frac_str(c1), io.frac_str(c2)],
-            "modulus": io.frac_str(x0),
-        }, indent=2))
-    else:
-        verdict = "equivalent" if equivalent else "not equivalent"
-        print(
-            f"{verdict}: degree {d1}={d2}, class {io.frac_str(c1)}={io.frac_str(c2)} "
-            f"(mod {io.frac_str(x0)})"
-            if equivalent
-            else f"{verdict}: degree {d1} vs {d2}, class {io.frac_str(c1)} vs "
-            f"{io.frac_str(c2)} (mod {io.frac_str(x0)})"
-        )
-    return EXIT_OK if equivalent else EXIT_MATH
+    c1, c2, x0 = (io.frac_str(x) for x in (c1, c2, manifold.klein_params[0]))
+    doc = {"equivalent": equivalent, "degrees": [d1, d2], "classes": [c1, c2], "modulus": x0}
+    verdict, vs = ("equivalent", "=") if equivalent else ("not equivalent", " vs ")
+    line = f"{verdict}: degree {d1}{vs}{d2}, class {c1}{vs}{c2} (mod {x0})"
+    return _verdict(equivalent), [(doc, [line])]
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args):
+    """The curve as JSON text, or the ``--output`` message: the same text in
+    both modes, so no JSON object (the curve is serialized once)."""
     manifold = io.parse_manifold(io.load_json(args.manifold))
     point = tuple(io.parse_frac(part) for part in args.point.split(","))
     if args.relation == "two-torsion":
@@ -241,11 +183,9 @@ def _cmd_witness(args) -> int:
     else:
         curve = witness_fiber_relation(manifold, point)
     text = io.dump_json(io.parametrized_curve_json(curve), args.output)
-    if args.output is None:
-        print(text)
-    else:
-        print(f"witness written to {args.output}")
-    return EXIT_OK
+    if args.output is not None:
+        text = f"witness written to {args.output}"
+    return EXIT_OK, [(None, [text])]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,7 +245,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    """Parse argv (without the program name) and execute one subcommand."""
+    """Parse argv (without the program name), execute one subcommand and
+    print its documents: as JSON under ``--json``, else as text.  This is
+    the one place that writes stdout."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -314,7 +256,10 @@ def run(argv) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        code, documents = args.func(args)
+        for doc, lines in documents:
+            print(json.dumps(doc, indent=2) if args.json and doc is not None else "\n".join(lines))
+        return code
     except (InputError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

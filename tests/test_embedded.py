@@ -497,6 +497,31 @@ class TestDeformationBasis:
                 assert set(next(rows)) <= {*columns[e.tail], *columns[e.head]}
         assert next(rows, None) is None
 
+    @pytest.mark.parametrize("make", [
+        lambda: build_t2_cycle(), lambda: T3_WITNESS, lambda: klein_modification(16),
+        *(lambda seed=seed: random_t2_horizontal_curve(random.Random(seed))
+          for seed in range(12)),  # seed 0 is a single vertex with a loop
+    ], ids=["t2-cycle", "t3-witness", "klein-16", *(f"t2-fuzz-{seed}" for seed in range(12))])
+    def test_rows_hold_only_non_zero_tail_and_head_entries(self, make):
+        """Each row is its edge's phi A at the tail minus phi at the head,
+        kept sparse: no zero value, and no column off the edge's ends."""
+        h = make()
+        n, rows = h.manifold.dim, iter(embedded.deformation_constraints(h))
+        columns = {v: range(i * n, i * n + n) for i, v in enumerate(h.abstract.vertices)}
+        for e in h.abstract.finite_edges():
+            d = h.data(e.id)
+            A = d.deck.linear
+            for phi in linalg.annihilator_basis(linalg.mat_vec(A, d.direction)):
+                row = next(rows)
+                dense = [0] * n * len(columns)
+                for i in range(n):
+                    dense[columns[e.tail][i]] += sum(phi[k] * A[k][i] for k in range(n))
+                    dense[columns[e.head][i]] -= phi[i]
+                assert all(x != 0 for x in row.values())
+                assert set(row) <= {*columns[e.tail], *columns[e.head]}
+                assert [row.get(j, 0) for j in range(len(dense))] == dense
+        assert next(rows, None) is None
+
     def test_members_satisfy_conditions(self, fig1a):
         from troplin.embedded import is_deformation
 

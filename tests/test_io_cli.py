@@ -359,8 +359,8 @@ class TestCLI:
     def test_import_leaves_the_thread_pool_out(self):
         src = Path(cli.__file__).resolve().parents[1]
         code = "import sys, troplin.cli; print('concurrent.futures' in sys.modules)"
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                                env={"PYTHONPATH": str(src)}, check=True)
+        result = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True,
+                                text=True, env={"PYTHONPATH": str(src)}, check=True)
         assert result.stdout.strip() == "False"
 
     def test_console_entry_point(self):
@@ -745,24 +745,27 @@ def _invocations(bad: str) -> list[list[str]]:
     ]
 
 
-def _run_quietly(argv) -> tuple[int, str]:
-    err = textio.StringIO()
-    with contextlib.redirect_stdout(textio.StringIO()), contextlib.redirect_stderr(err):
+def _run_quietly(argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one in-process run."""
+    out, err = textio.StringIO(), textio.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(argv)
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestMalformedDocumentProperty:
     @given(malformed_documents())
     @settings(max_examples=120, deadline=None)
     def test_every_subcommand_exits_0_1_or_2(self, doc):
-        """No malformed document makes any subcommand raise."""
+        """No malformed document makes any subcommand raise, and a usage
+        error prints nothing on stdout."""
         with tempfile.TemporaryDirectory() as tmp:
             bad = str(Path(tmp) / "bad.json")
             Path(bad).write_text(json.dumps(doc))
             for argv in _invocations(bad):
-                code, _ = _run_quietly(argv)
+                code, out, _ = _run_quietly(argv)
                 assert code in (0, 1, 2), argv
+                assert code != 1 or out == "", argv
 
     @given(boolean_slots())
     @settings(max_examples=60, deadline=None)
@@ -776,7 +779,7 @@ class TestMalformedDocumentProperty:
             Path(boolean).write_text(json.dumps(_replaced(doc, path, flag)))
             Path(word).write_text(json.dumps(_replaced(doc, path, "x")))
             for argv, control in zip(_invocations(boolean), _invocations(word)):
-                code, err = _run_quietly(argv)
+                code, _, err = _run_quietly(argv)
                 assert code == _run_quietly(control)[0], (argv, path)
                 if code == 1:
                     assert err.startswith("error: ") and err.count("\n") == 1, err

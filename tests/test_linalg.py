@@ -360,8 +360,8 @@ class TestEliminationCore:
     def test_import_leaves_numpy_out(self):
         src = Path(linalg.__file__).resolve().parents[1]
         code = "import sys, troplin; print('numpy' in sys.modules)"
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                                env={"PYTHONPATH": str(src)}, check=True)
+        result = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True,
+                                text=True, env={"PYTHONPATH": str(src)}, check=True)
         assert result.stdout.strip() == "False"
 
 
