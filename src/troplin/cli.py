@@ -42,11 +42,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _paint(text: str, ok: bool) -> str:
-    """Green or red text for stdout, as TROPLIN_COLOR says; auto colors a terminal."""
-    mode, out = os.environ.get("TROPLIN_COLOR", "auto"), sys.stdout
-    if mode == "always" or mode != "never" and hasattr(out, "isatty") and out.isatty():
-        return f"\x1b[{32 if ok else 31}m{text}\x1b[0m"
-    return text
+    """Green or red text as TROPLIN_COLOR says: always, never, or (auto)
+    only when stdout is a terminal."""
+    mode = os.environ.get("TROPLIN_COLOR", "auto")
+    if mode not in ("always", "never"):
+        tty = hasattr(sys.stdout, "isatty") and sys.stdout.isatty()
+        mode = "always" if tty else "never"
+    if mode == "never":
+        return text
+    code = "32" if ok else "31"
+    return f"\x1b[{code}m{text}\x1b[0m"
 
 
 def _verdict(ok: bool) -> int:
@@ -76,19 +81,12 @@ def _load_parametrized(path: str):
     return curve
 
 
-# Each handler returns its exit code and the documents it prints, each as
-# (JSON object, text lines); ``run`` prints them once the handler is done,
-# and prints a document whose JSON object is None as text in both modes.
-
-
 def _cmd_validate(args):
     reports = []
     for path in args.files:
         curve = _load_curve(path)
-        if hasattr(curve, "manifold"):
-            report = validate_parametrized(curve)
-        else:
-            report = validate_abstract(curve)
+        validate = validate_parametrized if hasattr(curve, "manifold") else validate_abstract
+        report = validate(curve)
         report.subject = path
         reports.append(report)
     return _verdict(all(r.passed for r in reports)), [_report(r) for r in reports]
@@ -99,8 +97,11 @@ def _cmd_homology(args):
     abstract = curve.abstract if hasattr(curve, "abstract") else curve
     cycles = [io.vector_json(v) for v in relative_h1_basis(abstract)]
     forms = locally_constant_forms(abstract)
-    doc = {"relative_h1_dimension": len(cycles), "locally_constant_forms_dimension": len(forms),
-           "cycle_basis": cycles}
+    doc = {
+        "relative_h1_dimension": len(cycles),
+        "locally_constant_forms_dimension": len(forms),
+        "cycle_basis": cycles,
+    }
     lines = [f"relative H1 dimension: {len(cycles)}",
              f"locally constant 1-forms dimension: {len(forms)}"]
     lines += [f"  cycle {v}" for v in cycles]
@@ -127,8 +128,11 @@ def _cmd_deform(args):
 def _cmd_ev(args):
     curve = _load_parametrized(args.file)
     minus, plus = evaluate_at_infinity(curve)
-    doc = {"minus": io.cycle_json(minus), "plus": io.cycle_json(plus),
-           "boundary": io.cycle_json(boundary_zero_cycle(curve))}
+    doc = {
+        "minus": io.cycle_json(minus),
+        "plus": io.cycle_json(plus),
+        "boundary": io.cycle_json(boundary_zero_cycle(curve)),
+    }
     lines = [f"minus ends: {doc['minus']}", f"plus ends:  {doc['plus']}",
              f"boundary 0-cycle: {doc['boundary']}"]
     return EXIT_OK, [(doc, lines)]
@@ -144,8 +148,12 @@ def _cmd_isotropy(args):
 def _cmd_roitman(args):
     space, vectors = io.parse_graded_space(io.load_json(args.file))
     result = roitman_bound_check(space, vectors)
-    doc = {"isotropic": result.isotropic, "dim_W": result.dim_W, "bound": result.bound,
-           "satisfied": result.satisfied}
+    doc = {
+        "isotropic": result.isotropic,
+        "dim_W": result.dim_W,
+        "bound": result.bound,
+        "satisfied": result.satisfied,
+    }
     line = (f"isotropic: {result.isotropic}; dim W = {result.dim_W} "
             f"<= bound {result.bound}: {result.satisfied}")
     return _verdict(result.satisfied), [(doc, [line])]
@@ -167,7 +175,12 @@ def _cmd_chow_equiv(args):
     z2 = io.parse_cycle(io.load_json(args.z2), manifold)
     equivalent, (d1, c1), (d2, c2) = chow_comparison(manifold, z1, z2)
     c1, c2, x0 = (io.frac_str(x) for x in (c1, c2, manifold.klein_params[0]))
-    doc = {"equivalent": equivalent, "degrees": [d1, d2], "classes": [c1, c2], "modulus": x0}
+    doc = {
+        "equivalent": equivalent,
+        "degrees": [d1, d2],
+        "classes": [c1, c2],
+        "modulus": x0,
+    }
     verdict, vs = ("equivalent", "=") if equivalent else ("not equivalent", " vs ")
     line = f"{verdict}: degree {d1}{vs}{d2}, class {c1}{vs}{c2} (mod {x0})"
     return _verdict(equivalent), [(doc, [line])]
@@ -178,10 +191,8 @@ def _cmd_witness(args):
     both modes, so no JSON object (the curve is serialized once)."""
     manifold = io.parse_manifold(io.load_json(args.manifold))
     point = tuple(io.parse_frac(part) for part in args.point.split(","))
-    if args.relation == "two-torsion":
-        curve = witness_two_torsion(manifold, point)
-    else:
-        curve = witness_fiber_relation(manifold, point)
+    witness = witness_two_torsion if args.relation == "two-torsion" else witness_fiber_relation
+    curve = witness(manifold, point)
     text = io.dump_json(io.parametrized_curve_json(curve), args.output)
     if args.output is not None:
         text = f"witness written to {args.output}"
@@ -246,20 +257,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv) -> int:
     """Parse argv (without the program name), execute one subcommand and
-    print its documents: as JSON under ``--json``, else as text.  This is
-    the one place that writes stdout."""
+    print the (JSON object, text lines) documents its handler returns: as
+    JSON under ``--json``, else as text, and as text in both modes when the
+    JSON object is None.  This is the one place that writes stdout."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        code, documents = args.func(args)
+        for doc, lines in documents:
+            if args.json and doc is not None:
+                print(json.dumps(doc, indent=2))
+            else:
+                print("\n".join(lines))
+        return code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    try:
-        code, documents = args.func(args)
-        for doc, lines in documents:
-            print(json.dumps(doc, indent=2) if args.json and doc is not None else "\n".join(lines))
-        return code
     except (InputError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

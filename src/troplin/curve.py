@@ -181,17 +181,9 @@ def vertex_equation_matrix(curve: AbstractTropicalCurve):
 
 
 def satisfies_vertex_equations(curve: AbstractTropicalCurve, form: LocallyConstantForm) -> bool:
-    """Whether the rows of ``vertex_equation_matrix`` vanish on the form, summed
-    per vertex in one pass over the edges; ``ValueError`` if it lacks an edge."""
-    values = dict(zip(reversed(form.edge_ids), reversed(form.values)))  # first value per id
-    sums = dict.fromkeys(curve.vertices, 0)
-    for e in curve.edges:
-        if e.id not in values:
-            raise ValueError(f"the form has no value on edge {e.id!r}")
-        sums[e.tail] += values[e.id]
-        if e.head is not None:
-            sums[e.head] -= values[e.id]
-    return not any(sums.values())
+    M = vertex_equation_matrix(curve)
+    vals = [form.value(e.id) for e in curve.edges]
+    return all(r == 0 for r in linalg.mat_vec(M, vals))
 
 
 def locally_constant_forms(curve: AbstractTropicalCurve) -> list[LocallyConstantForm]:

@@ -376,18 +376,17 @@ def deformation_constraints(h: ParametrizedTropicalCurve):
     Each finite edge with deck linear part A and direction d contributes
     rows in its tail's and head's columns only: A u_tail - u_head must be
     parallel to A d, encoded by a saturated basis of the annihilator of A d.
-    Semi-infinite edges impose nothing.  A row holds only its non-zero
-    entries: on a loop (tail = head) the two terms may cancel.
+    Semi-infinite edges impose nothing.  A row keeps only its non-zero
+    entries, so on a loop (tail = head) terms that cancel are dropped too.
     """
     n = h.manifold.dim
     offsets = _offsets(h)
 
     @cache  # once per distinct (linear part, direction), in this call
-    def pieces(A, direction) -> list[tuple[dict[int, int], dict[int, int]]]:
-        """The non-zero entries of (phi A, phi) for each phi of the annihilator of A d."""
+    def pieces(A, direction) -> list[tuple[list[int], tuple]]:
+        """(phi A, phi) for each phi of the annihilator of A d."""
         columns = list(zip(*A))
-        return [(linalg._integer_row([sum(map(mul, phi, column)) for column in columns])[0],
-                 linalg._integer_row(phi)[0])
+        return [([sum(map(mul, phi, column)) for column in columns], phi)
                 for phi in linalg.annihilator_basis(linalg.mat_vec(A, direction))]
 
     rows = []
@@ -395,10 +394,10 @@ def deformation_constraints(h: ParametrizedTropicalCurve):
         d = h.data(e.id)
         tail, head = offsets[e.tail], offsets[e.head]
         for phi_A, phi in pieces(d.deck.linear, d.direction):
-            row = {tail + i: x for i, x in phi_A.items()}
-            for i, x in phi.items():
-                row[head + i] = row.get(head + i, 0) - x
-            rows.append(row if tail != head else {j: x for j, x in row.items() if x})
+            row = dict(zip(range(tail, tail + n), phi_A))
+            for j, x in zip(range(head, head + n), phi):
+                row[j] = row.get(j, 0) - x
+            rows.append({j: x for j, x in row.items() if x})
     return linalg.Matrix(rows, n * len(offsets))
 
 

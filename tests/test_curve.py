@@ -11,12 +11,7 @@ from conftest import random_abstract_curve
 from oracles import kernel_contains, rank_oracle
 
 import troplin as t
-from troplin.curve import (
-    LocallyConstantForm,
-    boundary_matrix,
-    satisfies_vertex_equations,
-    vertex_equation_matrix,
-)
+from troplin.curve import boundary_matrix, satisfies_vertex_equations
 from troplin.errors import NotAForm
 
 
@@ -180,43 +175,3 @@ class TestRandomGraphs:
         # b = 5 boundary points, tree: dimension 4
         assert len(t.locally_constant_forms(curve)) == 4
         assert len(t.relative_h1_basis(curve)) == 4
-
-
-class TestVertexEquations:
-    """``satisfies_vertex_equations`` sums the signed values per vertex in one
-    pass; the oracle is the dense vertex-equation matrix times the values."""
-
-    @staticmethod
-    def matrix_verdict(curve, form):
-        values = [form.values[form.edge_ids.index(e.id)] for e in curve.edges]
-        rows = vertex_equation_matrix(curve)
-        return all(sum(a * x for a, x in zip(row, values)) == 0 for row in rows)
-
-    @given(st.integers(0, 2**32 - 1), st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_matches_the_matrix_product(self, seed, data):
-        rng = random.Random(seed)
-        curve = random_abstract_curve(rng)
-        ids = [e.id for e in curve.edges]
-        forms = t.locally_constant_forms(curve)
-        values = st.lists(st.fractions(-3, 3, max_denominator=3), min_size=len(ids),
-                          max_size=len(ids))
-        candidates = [LocallyConstantForm(tuple(ids), data.draw(values))]
-        for form in forms:
-            bumped = list(form.values)
-            bumped[rng.randrange(len(ids))] += data.draw(st.sampled_from([0, 1, Fraction(-1, 2)]))
-            candidates.append(LocallyConstantForm(tuple(ids), bumped))
-        if forms:  # a combination of forms, listed in another edge order
-            total = [sum(f.values[j] * (k + 1) for k, f in enumerate(forms))
-                     for j in range(len(ids))]
-            order = rng.sample(range(len(ids)), len(ids))
-            candidates.append(LocallyConstantForm(tuple(ids[j] for j in order),
-                                                  [total[j] for j in order]))
-            assert satisfies_vertex_equations(curve, candidates[-1])
-        for form in candidates:
-            assert satisfies_vertex_equations(curve, form) == self.matrix_verdict(curve, form)
-
-    def test_a_form_without_an_edge_raises(self):
-        curve = theta_curve()
-        with pytest.raises(ValueError):
-            satisfies_vertex_equations(curve, LocallyConstantForm(("e1", "e2"), (1, -1)))

@@ -475,51 +475,39 @@ class TestDeformationBasis:
         }
         assert sorted(annihilated) == sorted(transported)
 
-    @pytest.mark.parametrize("breakpoints", [8, 16, 28, 40])
-    @pytest.mark.parametrize("base", ["klein", "t2"])
-    def test_circle_modification_basis_is_the_oracle_kernel(self, base, breakpoints):
-        if base == "klein":
-            h = klein_modification(breakpoints, seed=breakpoints)
-        else:
-            h = t2_modification(random.Random(breakpoints), breakpoints, (2, 1))
+    @pytest.mark.parametrize("make", [
+        *(lambda k=k: klein_modification(k, seed=k) for k in (8, 16, 28, 40)),
+        *(lambda k=k: t2_modification(random.Random(k), k, (2, 1)) for k in (8, 16, 28, 40)),
+        lambda: build_t2_cycle(), lambda: T3_WITNESS,
+        *(lambda seed=seed: random_t2_horizontal_curve(random.Random(seed))
+          for seed in range(12)),  # seed 0 is a single vertex with a loop
+    ], ids=[*(f"{base}-{k}" for base in ("klein", "t2") for k in (8, 16, 28, 40)),
+            "t2-cycle", "t3-witness", *(f"t2-fuzz-{seed}" for seed in range(12))])
+    def test_circle_modification_basis_is_the_oracle_kernel(self, make):
+        """Also run on a cycle, the T^3 witness and fuzzed curves with loops."""
+        h = make()
         M = embedded.deformation_constraints(h)
         flat = [tuple(x for v in h.abstract.vertices for x in D[v])
                 for D in t.deformation_basis(h)]
         dense = [[row.get(j, 0) for j in range(M.ncols)] for row in M]
         assert flat == kernel_from_oracle(dense, M.ncols)
         assert len(flat) == deformation_nullity_minor_oracle(h)
-        # Each edge's rows are sparse: they hold only its tail and head columns.
+        # Each edge's rows are phi A at its tail minus phi at its head, kept
+        # sparse: no zero value and no column off the edge's ends.
         n, rows = h.manifold.dim, iter(M)
-        columns = {v: range(i * n, i * n + n) for i, v in enumerate(h.abstract.vertices)}
-        for e in h.abstract.finite_edges():
-            d = h.data(e.id)
-            for _ in linalg.annihilator_basis(linalg.mat_vec(d.deck.linear, d.direction)):
-                assert set(next(rows)) <= {*columns[e.tail], *columns[e.head]}
-        assert next(rows, None) is None
-
-    @pytest.mark.parametrize("make", [
-        lambda: build_t2_cycle(), lambda: T3_WITNESS, lambda: klein_modification(16),
-        *(lambda seed=seed: random_t2_horizontal_curve(random.Random(seed))
-          for seed in range(12)),  # seed 0 is a single vertex with a loop
-    ], ids=["t2-cycle", "t3-witness", "klein-16", *(f"t2-fuzz-{seed}" for seed in range(12))])
-    def test_rows_hold_only_non_zero_tail_and_head_entries(self, make):
-        """Each row is its edge's phi A at the tail minus phi at the head,
-        kept sparse: no zero value, and no column off the edge's ends."""
-        h = make()
-        n, rows = h.manifold.dim, iter(embedded.deformation_constraints(h))
         columns = {v: range(i * n, i * n + n) for i, v in enumerate(h.abstract.vertices)}
         for e in h.abstract.finite_edges():
             d = h.data(e.id)
             A = d.deck.linear
             for phi in linalg.annihilator_basis(linalg.mat_vec(A, d.direction)):
                 row = next(rows)
-                dense = [0] * n * len(columns)
+                expected = [0] * M.ncols
                 for i in range(n):
-                    dense[columns[e.tail][i]] += sum(phi[k] * A[k][i] for k in range(n))
-                    dense[columns[e.head][i]] -= phi[i]
+                    expected[columns[e.tail][i]] += sum(phi[k] * A[k][i] for k in range(n))
+                    expected[columns[e.head][i]] -= phi[i]
                 assert all(x != 0 for x in row.values())
                 assert set(row) <= {*columns[e.tail], *columns[e.head]}
-                assert [row.get(j, 0) for j in range(len(dense))] == dense
+                assert [row.get(j, 0) for j in range(M.ncols)] == expected
         assert next(rows, None) is None
 
     def test_members_satisfy_conditions(self, fig1a):
