@@ -283,8 +283,13 @@ def _signed_gram(terms: Sequence[tuple], degree: int, count: int) -> list:
     Vector index j is scaled to integers once, by the lcm s_j of its
     denominators across the terms that hold it, so the value on a subset S
     is an integer over the product of s_j for j in S, divided only when
-    emitted.  Each term runs ``_minors`` on its own vectors, and its top
-    level, contracted with c * form, adds to the subsets it reaches.
+    emitted.  Degree 2 (the area form of every surface, behind the end
+    pairing and the block form) is bilinear: each pair u, v of a term's
+    vectors adds c * sum of w_ab (u_a v_b - u_b v_a) over the form's
+    non-zero coefficients w_ab, a few products where the recursion pays
+    its per-minor bookkeeping.  Every other degree runs ``_minors`` on the
+    term's vectors, and its top level, contracted with c * form, adds to
+    the subsets it reaches.
     """
     scales: dict[int, int] = {}  # s_j, for the indices whose vectors hold a Fraction
     for _, form, vecs in terms:
@@ -294,19 +299,29 @@ def _signed_gram(terms: Sequence[tuple], degree: int, count: int) -> list:
             for x in v:
                 if type(x) is not int:
                     scales[j] = lcm(scales.get(j, 1), x.denominator)
-    coefficients = {}  # per form: coefficient by row subset
+    coefficients = {}  # per form: coefficient by row subset; (a, b, w_ab) if non-zero in degree 2
     total = dict.fromkeys(p_subsets(count, degree), 0)
     for c, form, vecs in terms:
         if form not in coefficients:
-            coefficients[form] = dict(zip(p_subsets(form.dim, degree), form.coefficients))
+            w = dict(zip(p_subsets(form.dim, degree), form.coefficients))
+            coefficients[form] = [(a, b, x) for (a, b), x in w.items() if x] if degree == 2 else w
         w = coefficients[form]
         support = sorted(vecs)
         columns = [
             [x.numerator * (scales[j] // x.denominator) for x in vecs[j]] if j in scales else vecs[j]
             for j in support
         ]
-        for (T, S), m in _minors(columns, degree).items():
-            total[tuple(map(support.__getitem__, S))] += c * w[T] * m
+        if degree == 2:
+            for k, v in enumerate(columns):
+                for i in range(k):
+                    u = columns[i]
+                    m = 0
+                    for a, b, x in w:
+                        m += x * (u[a] * v[b] - u[b] * v[a])
+                    total[support[i], support[k]] += c * m
+        else:
+            for (T, S), m in _minors(columns, degree).items():
+                total[tuple(map(support.__getitem__, S))] += c * w[T] * m
     if not scales:
         return list(total.values())
     values = []

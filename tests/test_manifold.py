@@ -323,16 +323,20 @@ class TestFormsAgainstTupleOracle:
 
 @st.composite
 def gram_terms(draw):
-    """(degree, count, terms) for ``_signed_gram``: degree 2-3, forms on
-    dimensions 2-4 drawn from a pool of up to three, so terms share forms or
-    differ, 0-7 vectors per term, some of them zero, and each vector index
-    with a denominator of its own (plain ints where it is 1)."""
-    degree = draw(st.integers(2, 3))
+    """(degree, count, terms) for ``_signed_gram``: degree 1-4, so both the
+    bilinear sum of degree 2 and the minor recursion run, forms on dimensions
+    up to 5 drawn from a pool of up to three, so terms share forms or differ,
+    each coefficient zero one draw in four, 0-7 vectors per term, some of
+    them zero, and each vector index with a denominator of its own (plain
+    ints where it is 1)."""
+    degree = draw(st.integers(1, 4))
+    nonzero = st.integers(1, 3) | st.integers(-3, -1)
     pool = []
     for _ in range(draw(st.integers(1, 3))):
-        dim = draw(st.integers(degree, 4))
+        dim = draw(st.integers(degree, 5))
         size = comb(dim, degree)
-        coefficients = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
+        coefficients = draw(st.lists(st.just(0) | nonzero | nonzero | nonzero,
+                                     min_size=size, max_size=size))
         pool.append(t.TropicalForm(dim, degree, tuple(coefficients)))
     count = draw(st.integers(0, 7))
     denominators = draw(st.lists(st.sampled_from([1, 2, 3, 4, 5, 7, 9]), min_size=count,
