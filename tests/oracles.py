@@ -8,7 +8,8 @@ dense Hermite normal form that keeps its transformation matrix beside it,
 lattice membership by determinantal divisors, minor-based deformation
 constraints, the position check, brute-force orbit enumeration on the
 Klein deck group, deck groups enumerated in normal form for membership,
-an arc-by-arc walk for functions on a circle, the all-pairs,
+an arc-by-arc walk for functions on a circle, the document of a circle
+modification written from its definition, the all-pairs,
 elimination-based euclidean embeddedness check, and 0-cycles built point
 by point in Fractions.
 """
@@ -473,3 +474,77 @@ def zero_cycle_oracle(M, items):
         q = reduce_point_oracle(M, p)
         acc[q] = acc.get(q, 0) + m
     return tuple(sorted((p, m) for p, m in acc.items() if m))
+
+
+def _text(x):
+    return str(Fraction(x))
+
+
+def _deck_doc(linear, translation, line=False):
+    """A deck element's document; ``line`` appends a coordinate it fixes."""
+    rows = [list(row) + [0] * line for row in linear] + [[0] * len(linear) + [1]] * line
+    return {"matrix": rows, "translation": [_text(c) for c in translation] + ["0"] * line}
+
+
+def _manifold_doc(M, line=False):
+    """The document of M, or of M x R when ``line``."""
+    gens = [{"name": name, **_deck_doc(g.linear, g.translation, line)}
+            for name, g in zip(M.names, M.generators)]
+    if line:
+        return {"kind": "product_with_line", "dim": M.dim + 1, "generators": gens,
+                "base": _manifold_doc(M)}
+    doc = {"kind": M.kind, "dim": M.dim, "generators": gens}
+    if M.kind == "klein":
+        doc["klein"] = {"x0": _text(M.klein_params[0]), "y0": _text(M.klein_params[1])}
+    return doc
+
+
+def modification_document_oracle(circle, f):
+    """The parametrized-curve document of the modification of an embedded
+    circle by a function f on it, written from the definition.
+
+    Vertex v_i sits over breakpoint b_i at height f(b_i).  Edge arc_i runs
+    from v_i to v_(i+1) along (u, s_i), u the circle's direction and s_i
+    the slope after b_i; the last one runs past the circumference c to
+    b_0 + c and carries the closing deck element, extended by the identity
+    on the line.  Each breakpoint with slope change m = s_i - s_(i-1) has
+    a vertical ray ray_i of weight |m|, downward when m > 0.  The zero
+    function has one vertex over the anchor and one self-loop "loop" of
+    length c.  Arcs come before rays; a deck is written only when it is
+    not the identity."""
+    c = Fraction(circle.circumference)
+    anchor = [Fraction(a) for a in circle.anchor]
+    u = list(circle.direction)
+    n = len(u)
+    bps = [Fraction(b) for b in f.breakpoints]
+    k = len(bps)
+    closing = circle.closing
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    turned = any(Fraction(x) != 0 for x in closing.translation) or (
+        [list(row) for row in closing.linear] != identity)
+    vertices, positions, edges, plus = [], {}, [], []
+
+    def arc(eid, i, j, length, slope, wraps):
+        edges.append({"id": eid, "tail": f"v{i}", "head": f"v{j}", "length": _text(length)})
+        entry = {"id": eid, "direction": u + [slope], "weight": 1, "image_length": _text(length)}
+        if wraps and turned:
+            entry["deck"] = _deck_doc(closing.linear, closing.translation, line=True)
+        plus.append(entry)
+
+    if not bps:
+        vertices.append("v0")
+        positions["v0"] = [_text(a) for a in anchor] + ["0"]
+        arc("loop", 0, 0, c, 0, True)
+    for i, b in enumerate(bps):
+        vertices.append(f"v{i}")
+        positions[f"v{i}"] = [_text(a + b * d) for a, d in zip(anchor, u)] + [_text(f.values[i])]
+        end = bps[i + 1] if i + 1 < k else bps[0] + c
+        arc(f"arc{i}", i, (i + 1) % k, end - b, f.slopes[i], i + 1 == k)
+    for i in range(k):
+        m = f.slopes[i] - f.slopes[i - 1]
+        edges.append({"id": f"ray{i}", "tail": f"v{i}", "boundary": True, "length": "inf"})
+        plus.append({"id": f"ray{i}", "direction": [0] * n + [-1 if m > 0 else 1],
+                     "weight": abs(m), "image_length": "inf"})
+    return {"vertices": vertices, "edges": edges,
+            "manifold": _manifold_doc(circle.manifold, line=True),
+            "positions": positions, "edges+": plus}

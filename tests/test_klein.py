@@ -8,10 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CYCLE_MANIFOLDS, CYCLE_PHASES, manifold_with_cycles
-from oracles import circle_function_oracle, klein_fiber_circumference_oracle
+from oracles import (
+    circle_function_oracle,
+    klein_fiber_circumference_oracle,
+    modification_document_oracle,
+)
 
 import troplin as t
-from troplin import klein
+from troplin import io, klein
 from troplin.errors import NonZeroDegree, NotPrincipal, OnSection, SpecialFiber
 from troplin.manifold import translation_deck
 
@@ -253,6 +257,36 @@ class TestModification:
                 klein23, [(circle.point_at(pos), -m) for pos, m in f.divisor()]
             )
             assert boundary == expected
+
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_document_matches_the_definition(self, data):
+        """The whole curve document, ids, order, lengths and decks included,
+        on T^2 circles in several directions and on Klein fibres of both
+        axes, the special ones included, with divisors of class zero."""
+        if data.draw(st.booleans(), label="torus"):
+            T = t.make_torus([(4, 0), (0, 4)])
+            u = data.draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (-1, 3)]))
+            anchor = data.draw(st.tuples(rationals, rationals))
+            circle = t.circle_embedding(T, anchor, u, 4, translation_deck((-4 * u[0], -4 * u[1])))
+        else:
+            x0, y0 = data.draw(st.sampled_from([(2, 3), (1, Fraction(1, 2)), (Fraction(3, 2), 2)]))
+            K = t.make_klein(x0, y0)
+            axis = data.draw(st.sampled_from([1, 2]))
+            value = data.draw(st.one_of(rationals, st.sampled_from([0, y0, Fraction(y0, 2)])))
+            circle = t.fiber_circle(K, axis, value)
+        c = circle.circumference
+        spots = st.integers(0, int(4 * c) - 1).map(lambda k: Fraction(k, 4))
+        points = st.tuples(spots, st.sampled_from([-2, -1, 1, 2]))
+        divisor = data.draw(st.lists(points, min_size=1, max_size=4))
+        base = data.draw(spots)
+        divisor.append((base, -sum(m for _, m in divisor)))
+        klass = t.circle_jacobian_class(c, divisor)
+        divisor += [(base, 1), (base + klass, -1)]  # the class is now zero
+        f = t.principal_function(c, divisor)
+        h = t.modification_curve(circle, f)
+        assert io.parametrized_curve_json(h) == modification_document_oracle(circle, f)
 
 
 class TestAlbaneseClass:
