@@ -13,8 +13,9 @@ relation families behind that decision.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil, gcd, lcm
 from typing import Sequence
 
@@ -28,6 +29,7 @@ from .embedded import (
 )
 from .errors import (
     InvalidCurve,
+    NonPositiveParameter,
     NonZeroDegree,
     NotPrincipal,
     OnSection,
@@ -84,7 +86,7 @@ class FiberCircle:
     special: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "circumference", as_fraction(self.circumference))
+        object.__setattr__(self, "circumference", _circumference(self.circumference))
         object.__setattr__(self, "anchor", vector(self.anchor))
         object.__setattr__(self, "direction", tuple(as_int(c) for c in self.direction))
         end = vector(a + self.circumference * u for a, u in zip(self.anchor, self.direction))
@@ -138,6 +140,13 @@ def fiber_circle(K: AffineQuotientManifold, axis: int, value) -> FiberCircle:
     raise ValueError("axis must be 1 or 2")
 
 
+def _circumference(c) -> Fraction:
+    c = as_fraction(c)
+    if c <= 0:
+        raise NonPositiveParameter("circumference must be positive")
+    return c
+
+
 def _rational_gcd(a, b) -> Fraction:
     """The nonnegative generator of the group a Z + b Z."""
     return Fraction(gcd(a.numerator * b.denominator, b.numerator * a.denominator),
@@ -179,22 +188,23 @@ def fiber_position(circle: FiberCircle, p: Sequence) -> Fraction:
 # Divisors on a circle
 
 
-def _normalize_divisor(c: Fraction, divisor: Sequence[tuple]) -> list[tuple[Fraction, int]]:
-    """The sorted (point mod c, multiplicity) pairs of a degree-zero divisor,
-    merged, without zeros."""
+def _normalize_divisor(c, divisor: Sequence[tuple]) -> tuple[Fraction, list]:
+    """The circumference c as a positive Fraction, and the sorted (point mod
+    c, multiplicity) pairs of a degree-zero divisor, merged, without zeros."""
+    c = _circumference(c)
     acc: dict[Fraction, int] = {}
     for t, m in divisor:
         key = as_fraction(t) % c
         acc[key] = acc.get(key, 0) + as_int(m)
     if sum(acc.values()) != 0:
         raise NonZeroDegree("divisor must have degree zero")
-    return sorted((t, m) for t, m in acc.items() if m != 0)
+    return c, sorted((t, m) for t, m in acc.items() if m != 0)
 
 
 def circle_jacobian_class(c, divisor: Sequence[tuple]) -> Fraction:
     """Sum of m_i * t_i modulo the circumference, for degree-zero divisors."""
-    c = as_fraction(c)
-    return sum(m * t for t, m in _normalize_divisor(c, divisor)) % c
+    c, items = _normalize_divisor(c, divisor)
+    return sum(m * t for t, m in items) % c
 
 
 @dataclass(frozen=True)
@@ -202,18 +212,22 @@ class PiecewiseLinearFunction:
     """Continuous piecewise linear function on a circle with integer slopes.
 
     ``slopes[i]`` rules the arc from ``breakpoints[i]`` to the next
-    breakpoint (cyclically); ``values[i]`` is the value at breakpoint i and
-    the first value is normalized to zero.  The slope change at each
-    breakpoint is a nonzero integer and all changes sum to zero.
+    breakpoint, the last arc running past the circumference to the first;
+    ``values[i]`` is the value at breakpoint i and the first value is
+    normalized to zero.  The slope change at each breakpoint is a nonzero
+    integer and all changes sum to zero.  The zero function has no
+    breakpoints: it is one arc around the whole circle.
     """
 
     circumference: Fraction
     breakpoints: tuple
     values: tuple
     slopes: tuple[int, ...]
+    # One (start, length to the next breakpoint, slope, value at the start) per arc.
+    _arcs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        c = as_fraction(self.circumference)
+        c = _circumference(self.circumference)
         object.__setattr__(self, "circumference", c)
         bps = tuple(as_fraction(t) for t in self.breakpoints)
         object.__setattr__(self, "breakpoints", bps)
@@ -223,19 +237,19 @@ class PiecewiseLinearFunction:
             raise ValueError("breakpoints must be strictly sorted inside [0, c)")
         if len(self.values) != len(bps) or len(self.slopes) != len(bps):
             raise ValueError("need one value and one outgoing slope per breakpoint")
-        if bps:
-            rise = Fraction(0)
-            for i in range(len(bps)):
-                nxt = bps[(i + 1) % len(bps)] + (c if i == len(bps) - 1 else 0)
-                segment = self.slopes[i] * (nxt - bps[i])
-                if i + 1 < len(bps) and self.values[i] + segment != self.values[i + 1]:
-                    raise ValueError("values do not follow the slopes")
-                rise += segment
-            if rise != 0:
-                raise ValueError("function does not close up around the circle")
-            for t, m in zip(bps, self.slope_changes()):
-                if m == 0:
-                    raise ValueError(f"zero slope change at breakpoint {t}")
+        starts = bps or (Fraction(0),)
+        ends = starts[1:] + (starts[0] + c,)
+        arcs = tuple((a, b - a, s, v) for a, b, s, v in
+                     zip(starts, ends, self.slopes or (0,), self.values or (0,)))
+        object.__setattr__(self, "_arcs", arcs)
+        for (_, length, slope, value), after in zip(arcs, arcs[1:]):
+            if value + slope * length != after[3]:
+                raise ValueError("values do not follow the slopes")
+        if sum(slope * length for _, length, slope, _ in arcs) != 0:
+            raise ValueError("function does not close up around the circle")
+        for t, m in zip(bps, self.slope_changes()):
+            if m == 0:
+                raise ValueError(f"zero slope change at breakpoint {t}")
 
     def slope_changes(self) -> tuple[int, ...]:
         k = len(self.breakpoints)
@@ -245,12 +259,11 @@ class PiecewiseLinearFunction:
         return list(zip(self.breakpoints, self.slope_changes()))
 
     def evaluate(self, t) -> Fraction:
-        if not self.breakpoints:
-            return Fraction(0)
         c = self.circumference
         t = as_fraction(t) % c
         i = bisect_right(self.breakpoints, t) - 1  # -1: the arc wrapping past c
-        return self.values[i] + self.slopes[i] * ((t - self.breakpoints[i]) % c)
+        start, _, slope, value = self._arcs[i]
+        return value + slope * ((t - start) % c)
 
 
 def principal_function(c, divisor: Sequence[tuple]) -> PiecewiseLinearFunction:
@@ -259,24 +272,16 @@ def principal_function(c, divisor: Sequence[tuple]) -> PiecewiseLinearFunction:
     Exists iff the divisor has degree zero and vanishing Jacobian class;
     unique up to a constant, normalized to vanish at the first breakpoint.
     """
-    c = as_fraction(c)
-    items = _normalize_divisor(c, divisor)
+    c, items = _normalize_divisor(c, divisor)
     if not items:
         return PiecewiseLinearFunction(c, (), (), ())
     sigma, klass = divmod(sum(m * t for t, m in items), c)  # slope offset, class
     if klass != 0:
         raise NotPrincipal(f"jacobian class {klass} is nonzero modulo {c}")
     bps = [t for t, _ in items]
-    mults = [m for _, m in items]
-    cumulative = []
-    run = 0
-    for m in mults:
-        run += m
-        cumulative.append(run)
-    slopes = [sigma + ci for ci in cumulative]
-    values = [Fraction(0)]
-    for i in range(len(bps) - 1):
-        values.append(values[-1] + slopes[i] * (bps[i + 1] - bps[i]))
+    slopes = [sigma + run for run in accumulate(m for _, m in items)]
+    rises = (s * (b - a) for a, b, s in zip(bps, bps[1:], slopes))
+    values = accumulate(rises, initial=Fraction(0))
     return PiecewiseLinearFunction(c, tuple(bps), tuple(values), tuple(slopes))
 
 
@@ -289,66 +294,34 @@ def modification_curve(
 ) -> ParametrizedTropicalCurve:
     """The tropical curve in B x R over an embedded circle determined by f.
 
-    Finite edges follow the graph of f; each breakpoint with slope change
-    m carries a vertical ray of weight |m| toward -infinity when m > 0 and
-    +infinity when m < 0.  ``boundary_zero_cycle`` validates the result and
-    its boundary cycle is checked against the pushed-forward divisor.
+    Each arc of f gives a vertex over its start, at height f there, and a
+    finite edge along the graph of f to the next vertex; the last arc
+    carries the circle's closing deck element.  Each breakpoint with slope
+    change m carries a vertical ray of weight |m| toward -infinity when
+    m > 0 and +infinity when m < 0.  The zero function is one arc around
+    the circle: one vertex, the self-loop ``"loop"`` and no ray.
+    ``boundary_zero_cycle`` validates the result and its boundary cycle is
+    checked against the pushed-forward divisor.
     """
     if f.circumference != circle.circumference:
         raise ValueError("function and circle have different circumferences")
     B = circle.manifold
-    ambient = product_with_line(B)
-    n = B.dim
-    u = circle.direction
-    if not f.breakpoints:
-        vertices = ["v0"]
-        positions = {"v0": tuple(list(circle.anchor) + [0])}
-        edges_abs = [("loop", "v0", "v0", circle.circumference)]
-        edges_emb = {
-            "loop": {
-                "direction": tuple(list(u) + [0]),
-                "weight": 1,
-                "image_length": circle.circumference,
-                "deck": extend_deck(circle.closing),
-            }
-        }
-    else:
-        k = len(f.breakpoints)
-        vertices = [f"v{i}" for i in range(k)]
-        positions = {}
-        for i, t in enumerate(f.breakpoints):
-            pos = [circle.anchor[j] + t * u[j] for j in range(n)]
-            positions[f"v{i}"] = tuple(pos + [f.values[i]])
-        edges_abs = []
-        edges_emb = {}
-        for i in range(k):
-            nxt = (i + 1) % k
-            t_here = f.breakpoints[i]
-            t_next = f.breakpoints[nxt] + (f.circumference if nxt == 0 else 0)
-            length = t_next - t_here
-            eid = f"arc{i}"
-            edges_abs.append((eid, f"v{i}", f"v{nxt}", length))
-            deck = extend_deck(circle.closing) if nxt == 0 else None
-            edges_emb[eid] = {
-                "direction": tuple(list(u) + [f.slopes[i]]),
-                "weight": 1,
-                "image_length": length,
-                "deck": deck,
-            }
-        for i, m in enumerate(f.slope_changes()):
-            eid = f"ray{i}"
-            edges_abs.append((eid, f"v{i}", None, INF))
-            edges_emb[eid] = {
-                "direction": tuple([0] * n + [-1 if m > 0 else 1]),
-                "weight": abs(m),
-                "image_length": INF,
-                "deck": None,
-            }
+    changes = f.slope_changes() or (0,)  # the zero function's one arc: no breakpoint, no ray
+    positions, finite, rays, edges = {}, [], [], {}
+    for i, ((t, length, slope, value), m) in enumerate(zip(f._arcs, changes)):
+        v = f"v{i}"
+        eid = f"arc{i}" if f.breakpoints else "loop"
+        last = i == len(f._arcs) - 1
+        positions[v] = tuple(a + t * u for a, u in zip(circle.anchor, circle.direction)) + (value,)
+        finite.append((eid, v, f"v{0 if last else i + 1}", length))
+        edges[eid] = {"direction": circle.direction + (slope,), "image_length": length,
+                      "deck": extend_deck(circle.closing) if last else None}
+        if m:
+            rays.append((f"ray{i}", v, None, INF))
+            edges[f"ray{i}"] = {"direction": (0,) * B.dim + (-1 if m > 0 else 1,),
+                                "weight": abs(m), "image_length": INF}
     h = parametrized_curve(
-        ambient,
-        abstract_curve(vertices, edges_abs),
-        positions,
-        edges_emb,
+        product_with_line(B), abstract_curve(list(positions), finite + rays), positions, edges
     )
     expected = zero_cycle(B, [(circle._lift(t), -m) for t, m in f.divisor()])
     if boundary_zero_cycle(h) != expected:

@@ -13,9 +13,8 @@ from __future__ import annotations
 from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import mul
 from typing import Callable, Sequence
 
@@ -342,7 +341,9 @@ class TropicalForm:
     coefficients: tuple[int, ...]
 
     def __post_init__(self):
-        expected = len(p_subsets(self.dim, self.degree))
+        if self.dim < 0 or self.degree < 0:
+            raise ValueError(f"a form needs dim and degree >= 0, not {self.dim} and {self.degree}")
+        expected = comb(self.dim, self.degree)
         if len(self.coefficients) != expected:
             raise ValueError(
                 f"need {expected} coefficients for degree {self.degree} in dim {self.dim}"
@@ -517,7 +518,6 @@ def _integer_reduction(M: AffineQuotientManifold) -> Callable[[Sequence], tuple]
         return klein
     if M.kind == KIND_PRODUCT:
         base = _integer_reduction(M.base)
-        lift = cache(_extended)  # the base reports a few linear parts, over and over
 
         def product(x: Sequence) -> tuple[tuple[int, ...], tuple]:
             if len(x) != M.dim:
@@ -525,7 +525,7 @@ def _integer_reduction(M: AffineQuotientManifold) -> Callable[[Sequence], tuple]
             (*nb, d), L = base(x[:-1])
             n, e = as_ratio(x[-1])
             m = lcm(d, e)  # both parts are in lowest terms, so over the lcm the key is too
-            return (*[c * (m // d) for c in nb], n * (m // e), m), lift(L)
+            return (*[c * (m // d) for c in nb], n * (m // e), m), _extended(L)
 
         return product
 

@@ -539,6 +539,18 @@ class TestMalformedInputExits1:
     def test_roitman_document_of_the_wrong_shape(self, tmp_path, capsys, doc):
         self.assert_usage_error(capsys, "roitman", _write_doc(tmp_path, doc))
 
+    @pytest.mark.parametrize("dim, degree, coefficients", [(-1, 0, [1]), (2, -1, [])],
+                             ids=["dimension", "degree"])
+    def test_roitman_form_of_negative_size(self, tmp_path, capsys, dim, degree, coefficients):
+        """A negative dimension once counted one empty subset of range(-1)
+        and reached the bound check, which failed with exit 2."""
+        form = {"dim": dim, "degree": degree, "coefficients": coefficients}
+        doc = {"blocks": [{"dimension": dim, "sign": 1, "form": form}], "vectors": []}
+        assert run_cli("roitman", _write_doc(tmp_path, doc)) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
     @pytest.mark.parametrize("name, path", [
         ("zp.json", (0, "point", 0)),

@@ -16,7 +16,13 @@ from oracles import (
 
 import troplin as t
 from troplin import io, klein
-from troplin.errors import NonZeroDegree, NotPrincipal, OnSection, SpecialFiber
+from troplin.errors import (
+    NonPositiveParameter,
+    NonZeroDegree,
+    NotPrincipal,
+    OnSection,
+    SpecialFiber,
+)
 from troplin.manifold import translation_deck
 
 
@@ -133,6 +139,23 @@ class TestKleinKindGuards:
             t.witness_two_torsion(torus4, (0, 0))
         with pytest.raises(t.UnsupportedManifoldKind):
             t.iota(torus4, (0, 0))
+
+
+class TestNonPositiveCircumference:
+    @pytest.mark.parametrize("c", [0, -4])
+    @pytest.mark.parametrize("build", [
+        lambda c: t.principal_function(c, [(1, 1), (2, -1)]),
+        lambda c: t.circle_jacobian_class(c, [(1, 1), (2, -1)]),
+        lambda c: t.PiecewiseLinearFunction(c, (), (), ()),
+        # the closing deck does take the anchor back, from c * (1, 0)
+        lambda c: t.circle_embedding(
+            t.make_torus([(4, 0), (0, 4)]), (0, 0), (1, 0), c, translation_deck((-c, 0))
+        ),
+    ], ids=["principal_function", "circle_jacobian_class", "PiecewiseLinearFunction",
+            "circle_embedding"])
+    def test_refused(self, build, c):
+        with pytest.raises(NonPositiveParameter, match="circumference must be positive"):
+            build(c)
 
 
 class TestCircleJacobian:
