@@ -75,6 +75,13 @@ def nullity_oracle(rows, ncols=None):
     return len(rows[0]) - rank_oracle(rows)
 
 
+def boundary_oracle(curve):
+    """The relative boundary map Q^E -> Q^V of an abstract curve, one row per
+    vertex, read off the edges: column e is -1 at its tail and +1 at its
+    head, a ray has no head, and a self-loop's two ends cancel."""
+    return [[(e.head == v) - (e.tail == v) for e in curve.edges] for v in curve.vertices]
+
+
 def kernel_contains(rows, vec):
     """Exact check that vec lies in the kernel of the row matrix."""
     return all(sum(Fraction(a) * Fraction(x) for a, x in zip(row, vec)) == 0 for row in rows)

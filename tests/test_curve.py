@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_abstract_curve
-from oracles import kernel_contains, rank_oracle
+from oracles import boundary_oracle, kernel_contains, nullity_oracle, rank_oracle
 
 import troplin as t
 from troplin.curve import boundary_matrix, satisfies_vertex_equations
@@ -118,7 +118,7 @@ class TestEta:
 
     def test_theta_basis_in_kernel(self):
         curve = theta_curve()
-        M = [[boundary_matrix(curve)[i][j] for j in range(3)] for i in range(2)]
+        M = boundary_oracle(curve)
         for form in t.locally_constant_forms(curve):
             chain = t.eta(curve, form)
             assert kernel_contains(M, chain)
@@ -138,16 +138,21 @@ class TestRandomGraphs:
             assert t.validate_abstract(curve).passed
             cycles = t.relative_h1_basis(curve)
             forms = t.locally_constant_forms(curve)
-            assert len(cycles) == len(forms)
-            M = [
-                [boundary_matrix(curve)[i][j] for j in range(len(curve.edges))]
-                for i in range(len(curve.vertices))
-            ]
+            M = boundary_oracle(curve)
+            assert len(cycles) == len(forms) == nullity_oracle(M, len(curve.edges))
             for form in forms:
                 assert satisfies_vertex_equations(curve, form)
                 assert kernel_contains(M, t.eta(curve, form))
             if forms:
                 assert rank_oracle([list(t.eta(curve, f)) for f in forms]) == len(forms)
+
+    @pytest.mark.parametrize("seed, count", [(1123, 120), (2718, 500)])
+    def test_boundary_matrix_matches_the_edges(self, seed, count):
+        """The fuzzed curves of this class and of acceptance criterion 2."""
+        rng = random.Random(seed)
+        for _ in range(count):
+            curve = random_abstract_curve(rng, max_edges=12)
+            assert boundary_matrix(curve) == boundary_oracle(curve)
 
     @given(st.integers(2, 7), st.data())
     @settings(max_examples=60, deadline=None)
