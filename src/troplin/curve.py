@@ -2,10 +2,10 @@
 
 A curve is a graph with finite edges (positive rational length) and
 semi-infinite edges (a vertex tail and a boundary point at infinity),
-oriented tail to head.  The relative first homology and the space of
-locally constant 1-forms live here; the two are canonically the same
-subspace of edge space, which downstream code verifies rather than
-assumes.
+oriented tail to head.  The relative first homology and the locally
+constant 1-forms live here: one orientation, written once in
+``vertex_equation_matrix``, makes them one kernel in edge space and eta
+the identity.  ``eta`` and the end pairing check the vertex equations.
 """
 
 from __future__ import annotations
@@ -122,27 +122,33 @@ def require_valid(curve: AbstractTropicalCurve) -> None:
         raise InvalidCurve(curve._verdict)
 
 
-def boundary_matrix(curve: AbstractTropicalCurve):
-    """The relative boundary map Q^E -> Q^V, e -> head - tail.
-
-    Coordinates at boundary points are dropped (relative chain complex),
-    so a semi-infinite edge contributes only -tail.
-    """
+def vertex_equation_matrix(curve: AbstractTropicalCurve):
+    """One row per vertex: +1 at tail slots, -1 at head slots.  The only
+    place the orientation is written: a ray has no head slot, and a
+    self-loop's two slots cancel to a zero column."""
     vindex = {v: i for i, v in enumerate(curve.vertices)}
-    rows = len(curve.vertices)
-    cols = len(curve.edges)
-    M = linalg.zeros(rows, cols)
+    M = linalg.zeros(len(curve.vertices), len(curve.edges))
     for j, e in enumerate(curve.edges):
-        M[vindex[e.tail]][j] -= 1
+        M[vindex[e.tail]][j] += 1
         if e.head is not None:
-            M[vindex[e.head]][j] += 1
+            M[vindex[e.head]][j] -= 1
     return M
 
 
+def boundary_matrix(curve: AbstractTropicalCurve):
+    """The relative boundary map Q^E -> Q^V, e -> head - tail: the vertex
+    equations negated.  Coordinates at boundary points are dropped, so a
+    ray contributes only -tail."""
+    M = vertex_equation_matrix(curve)
+    return linalg.Matrix(([-x for x in row] for row in M), M.ncols)
+
+
 def relative_h1_basis(curve: AbstractTropicalCurve) -> list[tuple]:
-    """Basis of the kernel of the relative boundary map, as edge vectors."""
+    """Basis of the kernel of the relative boundary map, as edge vectors: it
+    is the vertex equations negated, with their reduced echelon form, so
+    this is also the basis of the locally constant 1-forms."""
     require_valid(curve)
-    return linalg.kernel_basis(boundary_matrix(curve))
+    return linalg.kernel_basis(vertex_equation_matrix(curve))
 
 
 @dataclass(frozen=True)
@@ -169,17 +175,6 @@ class LocallyConstantForm:
         return all(v == 0 for v in self.values)
 
 
-def vertex_equation_matrix(curve: AbstractTropicalCurve):
-    """One row per vertex: +1 at tail slots, -1 at head slots."""
-    vindex = {v: i for i, v in enumerate(curve.vertices)}
-    M = linalg.zeros(len(curve.vertices), len(curve.edges))
-    for j, e in enumerate(curve.edges):
-        M[vindex[e.tail]][j] += 1
-        if e.head is not None:
-            M[vindex[e.head]][j] -= 1
-    return M
-
-
 def satisfies_vertex_equations(curve: AbstractTropicalCurve, form: LocallyConstantForm) -> bool:
     M = vertex_equation_matrix(curve)
     vals = [form.value(e.id) for e in curve.edges]
@@ -187,25 +182,17 @@ def satisfies_vertex_equations(curve: AbstractTropicalCurve, form: LocallyConsta
 
 
 def locally_constant_forms(curve: AbstractTropicalCurve) -> list[LocallyConstantForm]:
-    """Basis of the edge assignments satisfying every vertex equation."""
-    require_valid(curve)
-    basis = linalg.kernel_basis(vertex_equation_matrix(curve))
+    """Basis of the edge assignments satisfying every vertex equation: the
+    ``relative_h1_basis`` vectors, read as forms."""
     ids = tuple(e.id for e in curve.edges)
-    return [LocallyConstantForm(ids, b) for b in basis]
+    return [LocallyConstantForm(ids, b) for b in relative_h1_basis(curve)]
 
 
 def eta(curve: AbstractTropicalCurve, form: LocallyConstantForm) -> tuple:
-    """The relative 1-cycle sum_e value_e * e attached to a form.
-
-    In the chosen orientations this is the identity on coordinates; the
-    content is that the result lies in the kernel of the boundary map,
-    which is asserted.
-    """
+    """The relative 1-cycle sum_e value_e * e attached to a form.  It is the
+    identity on coordinates: the boundary map is the vertex equations
+    negated, and those are checked here."""
     require_valid(curve)
     if not satisfies_vertex_equations(curve, form):
         raise NotAForm("edge values violate a vertex equation")
-    chain = vector(form.value(e.id) for e in curve.edges)
-    M = boundary_matrix(curve)
-    if any(r != 0 for r in linalg.mat_vec(M, chain)):
-        raise AssertionError("eta image not a relative cycle")  # unreachable
-    return chain
+    return vector(form.value(e.id) for e in curve.edges)

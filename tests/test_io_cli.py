@@ -18,7 +18,7 @@ from conftest import build_fig1a, random_t2_horizontal_curve
 from oracles import zero_cycle_oracle
 
 import troplin as t
-from troplin import cli, curve, embedded, io, klein
+from troplin import cli, curve, embedded, io, klein, linalg
 from troplin.errors import IrrationalData
 from troplin.manifold import translation_deck
 
@@ -630,6 +630,15 @@ class TestHomologyValidatesOnce:
         validate = curve.validate_abstract
         for module in (curve, embedded):
             monkeypatch.setattr(module, "validate_abstract", lambda c: calls.append(c) or validate(c))
+        assert run_cli("homology", _data("t2-cycle.json")) == 0
+        assert len(calls) == 1
+
+    def test_one_elimination(self, monkeypatch, capsys):
+        """The cycle basis and both dimensions come from one kernel: the
+        boundary map is the vertex equations negated."""
+        calls = []
+        kernel = linalg._kernel
+        monkeypatch.setattr(linalg, "_kernel", lambda M: calls.append(M) or kernel(M))
         assert run_cli("homology", _data("t2-cycle.json")) == 0
         assert len(calls) == 1
 
