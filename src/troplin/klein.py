@@ -72,10 +72,13 @@ def section_point(K: AffineQuotientManifold, theta) -> tuple:
 class FiberCircle:
     """A fiber of one of the coordinate projections, as an embedded circle.
 
-    Travelling ``circumference`` from the ``anchor`` lift along
-    ``direction`` returns to the anchor through the ``closing`` deck
-    element; ``special`` marks the short axis-2 fibers at y = 0 and
-    y = y0/2, which the reflection fixes.
+    Travelling ``circumference`` from the ``anchor`` lift along the
+    primitive ``direction`` returns to the anchor through the ``closing``
+    deck element, and not before: a circumference at which the anchor's
+    point recurs earlier is refused, except on a manifold without a
+    reduction (``general``), where that is not decided.  ``special`` marks
+    the short axis-2 fibers at y = 0 and y = y0/2, which the reflection
+    fixes.
     """
 
     manifold: AffineQuotientManifold
@@ -89,11 +92,19 @@ class FiberCircle:
         object.__setattr__(self, "circumference", _circumference(self.circumference))
         object.__setattr__(self, "anchor", vector(self.anchor))
         object.__setattr__(self, "direction", tuple(as_int(c) for c in self.direction))
+        if gcd(*self.direction) != 1:
+            raise ValueError("direction must be a nonzero primitive integer vector")
         end = vector(a + self.circumference * u for a, u in zip(self.anchor, self.direction))
         if self.closing.apply(end) != self.anchor:
             raise ValueError("closing deck element does not return the circle to its anchor")
         if mat_vec(self.closing.linear, self.direction) != self.direction:
             raise ValueError("closing deck element does not preserve the travel direction")
+        try:
+            recurs = any(t != 0 for t in _parameters(self, self.anchor))
+        except UnsupportedManifoldKind:  # no reduction: first return is not decided
+            recurs = False
+        if recurs:
+            raise ValueError("circle returns to its anchor before its circumference")
 
     def point_at(self, t) -> tuple:
         """Canonical representative of the circle point at parameter t."""
@@ -154,7 +165,16 @@ def _rational_gcd(a, b) -> Fraction:
 
 
 def fiber_position(circle: FiberCircle, p: Sequence) -> Fraction:
-    """Parameter t in [0, circumference) with circle.point_at(t) = p.
+    """Parameter t in [0, circumference) with circle.point_at(t) = p; a
+    circle closes at its first return, so there is at most one."""
+    t = next(_parameters(circle, p), None)
+    if t is None:
+        raise ValueError("point does not lie on the circle")
+    return t
+
+
+def _parameters(circle: FiberCircle, p: Sequence):
+    """Every parameter t in [0, circumference) with circle.point_at(t) = p.
 
     The deck generators of every kind that has canonical representatives
     move a travel coordinate x_i to +-x_i plus a multiple of their i-th
@@ -162,7 +182,7 @@ def fiber_position(circle: FiberCircle, p: Sequence) -> Fraction:
     in +-p_i + P Z, P the gcd of those translations.  One turn, from the
     anchor to where the closing deck element takes the circle back, moves
     x_i by circumference * |u_i|, which bounds the candidates; each is
-    tested exactly, and embedded circles have exactly one match.
+    tested exactly.
     """
     M = circle.manifold
     key = point_reducer(M)  # built once for every candidate
@@ -180,8 +200,7 @@ def fiber_position(circle: FiberCircle, p: Sequence) -> Fraction:
         for k in range(ceil(c / step)):
             t = (t0 + k * step) % c
             if key(circle._lift(t)) == target:
-                return t
-    raise ValueError("point does not lie on the circle")
+                yield t
 
 
 # ---------------------------------------------------------------------------

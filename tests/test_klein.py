@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from troplin.errors import (
     OnSection,
     SpecialFiber,
 )
-from troplin.manifold import translation_deck
+from troplin.manifold import KIND_GENERAL, AffineQuotientManifold, identity_deck, translation_deck
 
 
 rationals = st.fractions(
@@ -156,6 +157,44 @@ class TestNonPositiveCircumference:
     def test_refused(self, build, c):
         with pytest.raises(NonPositiveParameter, match="circumference must be positive"):
             build(c)
+
+
+class TestFirstReturn:
+    """A circle closes where its anchor's point first comes back."""
+
+    T = t.make_torus([(4, 0), (0, 4)])
+
+    def test_a_double_turn_is_refused(self):
+        # t = 4 and t = 8 both bring (0, 0) back on R^2/4Z^2
+        with pytest.raises(ValueError, match="returns to its anchor before its circumference"):
+            t.circle_embedding(self.T, (0, 0), (1, 0), 8, translation_deck((-8, 0)))
+
+    @pytest.mark.parametrize("direction, closing", [
+        ((0, 0), identity_deck(2)),
+        ((2, 0), translation_deck((-8, 0))),
+        ((3, -6), translation_deck((-12, 24))),
+    ], ids=["zero", "(2, 0)", "(3, -6)"])
+    def test_a_zero_or_imprimitive_direction_is_refused(self, direction, closing):
+        with pytest.raises(ValueError, match="nonzero primitive integer vector"):
+            t.circle_embedding(self.T, (0, 0), direction, 4, closing)
+
+    @given(st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(lambda u: gcd(*u) == 1),
+           st.tuples(rationals, rationals), st.integers(1, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_only_the_first_return_closes(self, u, anchor, k):
+        """On R^2/4Z^2 a primitive direction first returns at t = 4."""
+        c = 4 * k
+        closing = translation_deck((-c * u[0], -c * u[1]))
+        if k == 1:
+            assert t.circle_embedding(self.T, anchor, u, c, closing).circumference == 4
+        else:
+            with pytest.raises(ValueError, match="returns to its anchor before"):
+                t.circle_embedding(self.T, anchor, u, c, closing)
+
+    def test_undecided_without_a_reduction(self):
+        general = AffineQuotientManifold(2, self.T.generators, self.T.names, KIND_GENERAL)
+        circle = t.circle_embedding(general, (0, 0), (1, 0), 8, translation_deck((-8, 0)))
+        assert circle.circumference == 8
 
 
 class TestCircleJacobian:
@@ -427,8 +466,9 @@ class TestWitnesses:
     def test_each_call_builds_one_reducer(self, monkeypatch):
         """klein builds a reducer, one run of ``manifold._integer_reduction``,
         only through ``reduce_point`` and ``point_reducer``.  A witness builds
-        one for its point and leaves every other point to ``zero_cycle``; a
-        position search builds one for all its candidates."""
+        one for its circle's first-return check and one for its point, and
+        leaves every other point to ``zero_cycle``; a position search builds
+        one for all its candidates."""
         builds = []
         for name in ("reduce_point", "point_reducer"):
             original = getattr(klein, name)
@@ -438,7 +478,7 @@ class TestWitnesses:
         for witness in (t.witness_two_torsion, t.witness_fiber_relation):
             builds.clear()
             witness(K, (Fraction(5, 2), -1))
-            assert builds == [K]
+            assert builds == [K, K]
         T = t.make_torus([(4, 0), (0, 4)])
         circle = t.circle_embedding(T, (0, 0), (3, 1), 4, translation_deck((-12, -4)))
         builds.clear()
