@@ -103,12 +103,12 @@ def deck_json(g: DeckElement) -> dict:
 
 
 def parse_deck(obj, manifold: AffineQuotientManifold | None = None) -> DeckElement:
-    word = obj if isinstance(obj, str) else _expect(obj, dict, "a deck element").get("word")
-    if word is not None:
+    """A deck element from a generator word string or a matrix object."""
+    if isinstance(obj, str):
         if manifold is None:
             raise InputError("generator words need a manifold to resolve against")
-        return manifold.deck_from_word(_expect(word, str, "a deck word"))
-    rows = _member(obj, "matrix", "a deck element", list)
+        return manifold.deck_from_word(obj)
+    rows = _member(_expect(obj, dict, "a deck element"), "matrix", "a deck element", list)
     return DeckElement(
         tuple(tuple(_int(e) for e in _expect(row, list, "a matrix row")) for row in rows),
         parse_vector(_member(obj, "translation", "a deck element")),
@@ -187,9 +187,9 @@ def parse_abstract_curve(doc: dict) -> AbstractTropicalCurve:
     what = "a curve document"
     edges = []
     for e in _objects(_member(_expect(doc, dict, what), "edges", what, list), "an edge"):
-        head = None if e.get("boundary") else e["head"]
-        edges.append(Edge(str(e["id"]), str(e["tail"]), head if head is None else str(head),
-                          parse_length(e["length"])))
+        eid, tail, length = (_member(e, k, "an edge") for k in ("id", "tail", "length"))
+        head = None if e.get("boundary") else str(_member(e, "head", "an edge"))
+        edges.append(Edge(str(eid), str(tail), head, parse_length(length)))
     vertices = _member(doc, "vertices", what, list)
     return AbstractTropicalCurve(tuple(str(v) for v in vertices), tuple(edges))
 
@@ -215,19 +215,20 @@ def parametrized_curve_json(h: ParametrizedTropicalCurve) -> dict:
 
 
 def parse_parametrized_curve(doc: dict) -> ParametrizedTropicalCurve:
-    manifold = parse_manifold(doc["manifold"])
-    abstract = parse_abstract_curve(doc)
     what = "a parametrized curve document"
+    manifold = parse_manifold(_member(_expect(doc, dict, what), "manifold", what))
+    abstract = parse_abstract_curve(doc)
     positions = {
         str(v): parse_vector(pos) for v, pos in _member(doc, "positions", what, dict).items()
     }
     edges = {}
-    for entry in _objects(_member(doc, "edges+", what, list), "an 'edges+' entry"):
+    item = "an 'edges+' entry"
+    for entry in _objects(_member(doc, "edges+", what, list), item):
         deck = entry.get("deck")
-        edges[str(entry["id"])] = {
-            "direction": parse_vector(_member(entry, "direction", "an 'edges+' entry")),
+        edges[str(_member(entry, "id", item))] = {
+            "direction": parse_vector(_member(entry, "direction", item)),
             "weight": _int(entry.get("weight", 1)),
-            "image_length": parse_length(entry["image_length"]),
+            "image_length": parse_length(_member(entry, "image_length", item)),
             "deck": parse_deck(deck, manifold) if deck is not None else None,
         }
     return parametrized_curve(manifold, abstract, positions, edges)

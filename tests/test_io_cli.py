@@ -441,6 +441,42 @@ class TestMalformedInputExits1:
     def test_zero_cycle_file_where_curve_or_manifold_expected(self, capsys, argv):
         self.assert_usage_error(capsys, *(_data(a) if a.endswith(".json") else a for a in argv))
 
+    def assert_missing(self, capsys, path, message):
+        """validate exits 1 with one stderr line naming the missing key."""
+        assert run_cli("validate", path) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("parametrized", [False, True], ids=["abstract", "parametrized"])
+    @pytest.mark.parametrize("key", ["id", "tail", "head", "length"])
+    def test_edge_without_a_key(self, tmp_path, capsys, key, parametrized):
+        doc = io.load_json(_data("t2-cycle.json"))
+        del doc["edges"][0][key]
+        if not parametrized:
+            doc = {"vertices": doc["vertices"], "edges": doc["edges"]}
+        self.assert_missing(capsys, _write_doc(tmp_path, doc), f"an edge has no {key!r} entry")
+
+    def test_parametrized_curve_without_a_manifold(self, tmp_path, capsys):
+        doc = io.load_json(_data("t2-cycle.json"))
+        del doc["manifold"]
+        self.assert_missing(capsys, _write_doc(tmp_path, doc),
+                            "a parametrized curve document has no 'manifold' entry")
+
+    @pytest.mark.parametrize("key", ["id", "image_length"])
+    def test_edges_plus_entry_without_a_key(self, tmp_path, capsys, key):
+        doc = io.load_json(_data("t2-cycle.json"))
+        del doc["edges+"][0][key]
+        self.assert_missing(capsys, _write_doc(tmp_path, doc),
+                            f"an 'edges+' entry has no {key!r} entry")
+
+    def test_a_deck_is_a_word_string_or_a_matrix_object(self, tmp_path, capsys):
+        doc = io.load_json(_data("t2-cycle.json"))
+        doc["edges+"][1]["deck"] = {"word": "t1^-1"}
+        self.assert_missing(capsys, _write_doc(tmp_path, doc),
+                            "a deck element has no 'matrix' entry")
+        doc["edges+"][1]["deck"] = "t1^-1"
+        assert run_cli("validate", _write_doc(tmp_path, doc)) == 0
+
     def test_non_list_edges(self, tmp_path, capsys):
         path = _write_doc(tmp_path, {"vertices": ["v"], "edges": 5})
         self.assert_usage_error(capsys, "validate", path)
