@@ -103,7 +103,6 @@ def deck_json(g: DeckElement) -> dict:
 
 
 def parse_deck(obj, manifold: AffineQuotientManifold | None = None) -> DeckElement:
-    """A deck element from a generator word string or a matrix object."""
     if isinstance(obj, str):
         if manifold is None:
             raise InputError("generator words need a manifold to resolve against")

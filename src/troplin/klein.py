@@ -13,6 +13,7 @@ relation families behind that decision.
 from __future__ import annotations
 
 from bisect import bisect_right
+from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -73,12 +74,10 @@ class FiberCircle:
     """A fiber of one of the coordinate projections, as an embedded circle.
 
     Travelling ``circumference`` from the ``anchor`` lift along the
-    primitive ``direction`` returns to the anchor through the ``closing``
-    deck element, and not before: a circumference at which the anchor's
-    point recurs earlier is refused, except on a manifold without a
-    reduction (``general``), where that is not decided.  ``special`` marks
-    the short axis-2 fibers at y = 0 and y = y0/2, which the reflection
-    fixes.
+    primitive ``direction`` first returns to the anchor, through the
+    ``closing`` deck element (not decided on a ``general`` manifold);
+    ``special`` marks the short axis-2 fibers at y = 0 and y = y0/2, which
+    the reflection fixes.
     """
 
     manifold: AffineQuotientManifold
@@ -99,12 +98,9 @@ class FiberCircle:
             raise ValueError("closing deck element does not return the circle to its anchor")
         if mat_vec(self.closing.linear, self.direction) != self.direction:
             raise ValueError("closing deck element does not preserve the travel direction")
-        try:
-            recurs = any(t != 0 for t in _parameters(self, self.anchor))
-        except UnsupportedManifoldKind:  # no reduction: first return is not decided
-            recurs = False
-        if recurs:
-            raise ValueError("circle returns to its anchor before its circumference")
+        with suppress(UnsupportedManifoldKind):  # no reduction: first return is not decided
+            if any(t != 0 for t in _parameters(self, self.anchor)):
+                raise ValueError("circle returns to its anchor before its circumference")
 
     def point_at(self, t) -> tuple:
         """Canonical representative of the circle point at parameter t."""
@@ -165,12 +161,10 @@ def _rational_gcd(a, b) -> Fraction:
 
 
 def fiber_position(circle: FiberCircle, p: Sequence) -> Fraction:
-    """Parameter t in [0, circumference) with circle.point_at(t) = p; a
-    circle closes at its first return, so there is at most one."""
-    t = next(_parameters(circle, p), None)
-    if t is None:
-        raise ValueError("point does not lie on the circle")
-    return t
+    """The parameter t in [0, circumference) with circle.point_at(t) = p."""
+    for t in _parameters(circle, p):
+        return t  # the only one: a circle closes at its first return
+    raise ValueError("point does not lie on the circle")
 
 
 def _parameters(circle: FiberCircle, p: Sequence):
