@@ -144,9 +144,9 @@ def boundary_matrix(curve: AbstractTropicalCurve):
 
 
 def relative_h1_basis(curve: AbstractTropicalCurve) -> list[tuple]:
-    """Basis of the kernel of the relative boundary map, as edge vectors: it
-    is the vertex equations negated, with their reduced echelon form, so
-    this is also the basis of the locally constant 1-forms."""
+    """Basis of the kernel of the relative boundary map, as edge vectors.
+    That map is the vertex equations negated, so eliminating those once
+    gives this basis, which is also the locally constant 1-forms' basis."""
     require_valid(curve)
     return linalg.kernel_basis(vertex_equation_matrix(curve))
 
